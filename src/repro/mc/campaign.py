@@ -308,12 +308,15 @@ def run_campaigns(
             trace-free, falling back to the reference simulator for
             unsupported features; ``"vectorized"`` additionally
             executes all trials of a grid point as batched tensor
-            programs (distribution-equivalent to the other engines,
+            programs — every built-in loss kind (``glossy`` floods
+            included) under both node policies (``local_belief``
+            included); distribution-equivalent to the other engines,
             not bit-identical; falls back ``vectorized -> fast ->
-            reference``); ``"reference"`` always walks the
-            object-level simulator.  ``fast`` and ``reference``
-            results are bit-identical; :attr:`CampaignResult.engines`
-            records what actually ran.
+            reference`` for custom loss kinds, uncompilable scenarios
+            and hosts outside the deployment.  ``"reference"`` always
+            walks the object-level simulator.  ``fast`` and
+            ``reference`` results are bit-identical;
+            :attr:`CampaignResult.engines` records what actually ran.
         pool: Optional :class:`~repro.engine.trials.ResidentPool`
             (built with :func:`~repro.runtime.trial.build_context` and
             :func:`~repro.runtime.trial.execute_trial_task`) to run

@@ -14,9 +14,14 @@ over the *same* scenario and trial count, it checks:
 
 * **deterministic structure is equal**, not just close: executed
   rounds, per-flow and per-chain instance totals, beacon denominators,
-  collision counts, and trial counts must match exactly — these do not
-  depend on the loss realization, so any difference is a timeline bug,
-  not noise;
+  and trial counts must match exactly — these do not depend on the
+  loss realization, so any difference is a timeline bug, not noise;
+* **collisions follow the runs' own data**: where one run is
+  collision-free — always so under beacon gating, where collisions
+  cannot happen — both must report exactly 0; where both runs collided
+  (only the ``LOCAL_BELIEF`` ablation can), collisions depend on the
+  loss draw and their per-trial means are compared at ``z`` (trials
+  are independent, the slots within one trial are not);
 * **every rate estimate is compatible**: the Wilson score intervals of
   the two engines (recomputed at a configurable, deliberately wide
   ``z``) must overlap for overall/per-flow deadline-miss, delivery,
@@ -110,6 +115,42 @@ def _coerce(result) -> Tuple[CampaignStats, Optional[List[TrialResult]]]:
     )
 
 
+def _mean_and_variance(values: Sequence[float]) -> Tuple[float, float]:
+    """Sample mean and unbiased sample variance (0 for one value)."""
+    n = len(values)
+    mean = sum(values) / n
+    if n < 2:
+        return mean, 0.0
+    return mean, sum((v - mean) ** 2 for v in values) / (n - 1)
+
+
+def _check_collisions(stats_a, trials_a, stats_b, trials_b, z, fail) -> None:
+    """The collision rule (see module docstring): exact where a run is
+    collision-free or per-trial samples are missing, otherwise a
+    two-sample z comparison of the per-trial collision means."""
+    if (
+        stats_a.collisions == 0
+        or stats_b.collisions == 0
+        or trials_a is None
+        or trials_b is None
+    ):
+        if stats_a.collisions != stats_b.collisions:
+            fail(
+                f"collision counts differ: {stats_a.collisions} vs "
+                f"{stats_b.collisions}"
+            )
+        return
+    mean_a, var_a = _mean_and_variance([t.collisions for t in trials_a])
+    mean_b, var_b = _mean_and_variance([t.collisions for t in trials_b])
+    se = (var_a / len(trials_a) + var_b / len(trials_b)) ** 0.5
+    if abs(mean_a - mean_b) > z * se:
+        fail(
+            f"per-trial collision means incompatible: {mean_a:.4f} vs "
+            f"{mean_b:.4f} (|difference| > z={z:g} x standard error "
+            f"{se:.4f}; totals {stats_a.collisions} vs {stats_b.collisions})"
+        )
+
+
 def assert_distribution_equivalent(
     actual,
     reference,
@@ -133,8 +174,9 @@ def assert_distribution_equivalent(
         radio_rtol: Relative tolerance on the radio-on mean.
         ks_c_alpha: ``c(alpha)`` of the KS threshold.
         require_same_totals: Also require the deterministic structure
-            (rounds, instance totals, denominators) to match exactly.
-            Disable only when comparing across *different* scenarios.
+            (rounds, instance totals, denominators) to match exactly,
+            and collisions to follow the collision rule.  Disable only
+            when comparing across *different* scenarios.
         label: Prefix for failure messages (e.g. the loss kind).
 
     Raises:
@@ -156,11 +198,7 @@ def assert_distribution_equivalent(
     if require_same_totals:
         if stats_a.rounds != stats_b.rounds:
             fail(f"executed rounds differ: {stats_a.rounds} vs {stats_b.rounds}")
-        if stats_a.collisions != stats_b.collisions:
-            fail(
-                f"collision counts differ: {stats_a.collisions} vs "
-                f"{stats_b.collisions}"
-            )
+        _check_collisions(stats_a, trials_a, stats_b, trials_b, z, fail)
         if set(stats_a.flows) != set(stats_b.flows):
             fail(
                 f"flow sets differ: {sorted(stats_a.flows)} vs "

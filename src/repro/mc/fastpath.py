@@ -25,6 +25,13 @@ that is the extension point future loss models hit by default.
 Equal seeds therefore give equal summaries across engines, which the
 equivalence suite (``tests/mc/test_fastpath.py``) asserts over a
 seed × policy × loss-model × mode-change matrix.
+
+This module is what ``engine="fast"`` runs.  ``engine="vectorized"``
+does not come here for any built-in loss kind or node policy:
+:mod:`repro.mc.vectorized` has tensor twins of every sampler —
+``glossy`` floods as hop-by-hop frontier propagation — and resolves
+the ``LOCAL_BELIEF`` recurrence with a belief scan over rounds.  Only a
+kind with a sampler here but none there steps down to this engine.
 """
 
 from __future__ import annotations

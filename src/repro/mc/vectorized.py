@@ -2,33 +2,37 @@
 
 The compiled fast path (:mod:`repro.mc.fastpath`) removed the trace but
 still runs **one Python loop per trial**.  This module removes that
-loop too, exploiting a structural fact of beacon-gated execution: the
-round timeline — which round of which mode executes when, when mode
-changes trigger, which slot records which message instance against
-which deadline — is **fully deterministic**.  Loss only decides who
-*receives* each flood, never what the host schedules.  So a grid point
-factors into three array-programming stages:
+loop too, exploiting a structural fact of the host: the round timeline
+— which round of which mode executes when, when mode changes trigger,
+which slot records which message instance against which deadline — is
+**fully deterministic** under both node policies.  Loss only decides
+who *receives* each flood (and, under ``LOCAL_BELIEF``, which nodes
+transmit), never what the host schedules.  So a grid point factors
+into three array-programming stages:
 
 1. :func:`unroll_timeline` — walk the compiled round program once
    (exactly :func:`repro.mc.fastpath.run_program`'s control flow, with
    the sampling stripped out) into a :class:`Timeline`: flat arrays
    over the executed rounds and slots, the deterministic per-flow
-   instance totals, the chain-check index matrices, and the switch
-   delays.  Computed once per scenario and cached on the
+   instance totals, the chain-check index matrices, the switch
+   delays, and the round ids the ``LOCAL_BELIEF`` belief scan needs.
+   Computed once per scenario and cached on the
    :class:`~repro.runtime.trial.TrialContext`.
 2. **Sampling** — the full loss bitmask tensor for every trial up
    front: ``beacon[trials, rounds, nodes]`` and ``data[trials, slots,
    nodes]`` boolean arrays, drawn per trial from that trial's own
    ``numpy.random.default_rng(seed)`` in a fixed intra-trial order
    (so results are independent of how trials are batched across pool
-   workers).
-3. :func:`accumulate_trials` — pure array reductions: delivery is a
-   fancy-index gather plus an ``all`` over consumer bits, radio-on
-   time is an integer round-participation count times the slot
-   constants, chain completeness is an ``all`` over precomputed
-   check-index matrices.  All reductions stay in integers until the
-   final per-trial scalars, so no chunking strategy can perturb a
-   floating-point sum.
+   workers).  ``glossy`` floods propagate hop by hop over the whole
+   topology, every flood of every trial at once.
+3. :func:`accumulate_trials` — pure array reductions: which slots
+   deliver is one :func:`slot_delivery` decision (a gather under
+   beacon gating, a round-by-round belief scan under ``LOCAL_BELIEF``),
+   delivery is an ``all`` over consumer bits, radio-on time is an
+   integer participation count times the slot constants, chain
+   completeness is an ``all`` over precomputed check-index matrices.
+   All reductions stay in integers until the final per-trial scalars,
+   so no chunking strategy can perturb a floating-point sum.
 
 The contract is **distribution equivalence, not bit identity**: the
 vectorized samplers draw from numpy streams, not the reference models'
@@ -36,19 +40,19 @@ vectorized samplers draw from numpy streams, not the reference models'
 ``fast``/``reference`` engines while every *deterministic* quantity
 (instance totals, rounds, switch delays, deadline flags) matches
 exactly and every sampled *distribution* (miss rates, radio-on, burst
-structure) agrees statistically.  :mod:`repro.mc.equivalence` is the
-harness that makes this claim testable; ``fast`` stays the bit-exact
-default engine.
+structure, collisions) agrees statistically.
+:mod:`repro.mc.equivalence` is the harness that makes this claim
+testable; ``fast`` stays the bit-exact default engine.
 
 Within one seed the engine is fully deterministic: equal seeds give
 byte-identical :class:`~repro.runtime.trial.TrialResult`\\ s across
 repeated runs, ``jobs`` settings, and trial-batch splits.
 
-Unsupported features fall back along ``vectorized -> fast ->
-reference`` (see :func:`repro.runtime.trial.trial_engine`): loss kinds
-without a vector sampler (``glossy`` floods are topology-sequential),
-the ``LOCAL_BELIEF`` ablation (per-round belief recurrences), scenarios
-the compiler rejects, and out-of-deployment beacon hosts.
+Every built-in loss kind and both node policies vectorize.  What is
+left falls back along ``vectorized -> fast -> reference`` (see
+:func:`repro.runtime.trial.trial_engine`): loss kinds without a vector
+sampler (custom registrations), scenarios the compiler rejects, and
+beacon hosts outside the deployment.
 """
 
 from __future__ import annotations
@@ -63,6 +67,7 @@ from ..runtime.compiled import SystemProgram, names_to_mask
 from ..runtime.loss import (
     BernoulliLoss,
     GilbertElliottLoss,
+    GlossyLoss,
     InterferenceLoss,
     LossModel,
     MatrixTraceLoss,
@@ -83,8 +88,8 @@ class VectorizeError(Exception):
 
     Like :class:`~repro.runtime.compiled.CompileError`, raising this is
     not an error condition for campaign callers: the trial entry point
-    gates on :func:`repro.runtime.trial.trial_engine` and falls back to
-    the ``fast`` engine instead.
+    gates on :func:`repro.runtime.trial.trial_engine` and falls back
+    down the ``vectorized -> fast -> reference`` ladder instead.
     """
 
 
@@ -133,6 +138,23 @@ class Timeline:
             ``S`` means a missing instance (never on time), ``S + 1``
             is padding (trivially satisfied).
         switch_delays: Mode-change delays — identical in every trial.
+        round_uid: ``(R,)`` globally unique id of each executed round
+            (what its beacon announces).
+        round_reset: ``(R,)`` the round id the beliefs of the round's
+            beacon receivers reset to after it — the new mode's last
+            round when the round triggers a mode switch, ``-1``
+            otherwise.
+        slot_position: ``(S,)`` slot index of each slot within its
+            round.
+        belief_successor: ``LOCAL_BELIEF`` only (``None`` otherwise):
+            ``(U + 1,)`` the round id a node predicts after round id
+            ``u`` without a beacon — ``u``'s successor in its mode's
+            cyclic round order.  Row ``U`` (the number of round ids)
+            stands for "no belief yet" and maps to itself.
+        belief_transmits: ``LOCAL_BELIEF`` only: ``(U + 1, N, P)``
+            whether node ``n`` transmits in slot position ``p`` when it
+            believes round id ``u`` executes (the compiled transmit
+            tables); row ``U`` never transmits.
     """
 
     num_rounds: int
@@ -146,6 +168,44 @@ class Timeline:
     has_consumers: np.ndarray
     chain_programs: Tuple[Tuple[str, int, np.ndarray], ...]
     switch_delays: Tuple[float, ...]
+    round_uid: np.ndarray
+    round_reset: np.ndarray
+    slot_position: np.ndarray
+    belief_successor: Optional[np.ndarray]
+    belief_transmits: Optional[np.ndarray]
+
+
+def _belief_tables(program: SystemProgram) -> Tuple[np.ndarray, np.ndarray]:
+    """The ``LOCAL_BELIEF`` prediction tables over global round ids.
+
+    ``successor[u]`` is the round a node that believes ``u`` just
+    executed predicts next (:func:`repro.mc.fastpath.run_program`'s
+    ``uid_base + (uid_index + 1) % num_rounds``), and
+    ``transmits[u, n, p]`` unpacks the compiled ``tx_slot_masks``.
+    Both get a trailing sentinel row for "no belief yet".
+    """
+    count = len(program.uid_mode)
+    nodes = len(program.node_names)
+    positions = max(
+        [1]
+        + [len(rows) for mode in program.modes.values()
+           for rows in mode.slot_rows]
+        + [mask.bit_length() for mode in program.modes.values()
+           for row in mode.tx_slot_masks for mask in row]
+    )
+    successor = np.full(count + 1, count, dtype=np.intp)
+    transmits = np.zeros((count + 1, nodes, positions), dtype=bool)
+    for uid, (mode_id, index) in enumerate(
+        zip(program.uid_mode, program.uid_index)
+    ):
+        mode = program.modes[mode_id]
+        successor[uid] = mode.uid_base + (index + 1) % mode.num_rounds
+        for node, mask in enumerate(mode.tx_slot_masks[index]):
+            while mask:
+                low = mask & -mask
+                transmits[uid, node, low.bit_length() - 1] = True
+                mask ^= low
+    return successor, transmits
 
 
 def unroll_timeline(
@@ -162,18 +222,11 @@ def unroll_timeline(
     (instance totals, deadline flags, switch delays) equal the fast
     engine's exactly.
 
-    Raises:
-        VectorizeError: for the ``LOCAL_BELIEF`` ablation, whose
-            belief recurrence couples transmission to the loss
-            realization — there the timeline is *not* deterministic
-            and callers fall back to the ``fast`` engine.
+    The host's control flow is the same under both node policies:
+    under ``LOCAL_BELIEF`` only *who transmits* depends on the loss
+    realization, which :func:`slot_delivery` resolves per trial from
+    the recorded round ids.
     """
-    if program.policy is not NodePolicy.BEACON_GATED:
-        raise VectorizeError(
-            f"vectorized kernel supports the beacon_gated policy only, "
-            f"got {program.policy.value!r}; falling back to the fast engine"
-        )
-
     requests = sorted(mode_requests, key=lambda r: r.time)
     request_count = len(requests)
     request_idx = 0
@@ -195,7 +248,10 @@ def unroll_timeline(
     round_cursor = 0
 
     slots_per_round: List[int] = []
+    round_uid: List[int] = []
+    round_reset: List[int] = []
     slot_round: List[int] = []
+    slot_position: List[int] = []
     slot_sender: List[int] = []
     slot_deadline_ok: List[bool] = []
     consumer_masks: List[int] = []
@@ -252,8 +308,10 @@ def unroll_timeline(
         round_index = len(slots_per_round)
         rows = mode_program.slot_rows[round_cursor]
         slots_per_round.append(len(rows))
+        round_uid.append(mode_program.uid_base + round_cursor)
+        round_reset.append(-1)
 
-        for row in rows:
+        for position, row in enumerate(rows):
             (
                 gid,
                 sender_index,
@@ -269,6 +327,7 @@ def unroll_timeline(
             ) = row
             slot = len(slot_round)
             slot_round.append(round_index)
+            slot_position.append(position)
             slot_sender.append(sender_index)
             consumer_masks.append(consumers_mask)
 
@@ -299,6 +358,11 @@ def unroll_timeline(
             )
             current_id = pending_target
             mode_program = mode_programs[current_id]
+            # Nodes that heard the SB beacon predict round 0 of the new
+            # mode next: the successor of its last round.
+            round_reset[-1] = (
+                mode_program.uid_base + mode_program.num_rounds - 1
+            )
             mode_origin = new_origin
             occurrence = 0
             round_cursor = 0
@@ -373,6 +437,10 @@ def unroll_timeline(
             matrix[i, : len(row)] = row
         chain_programs.append((app_name, len(rows), matrix))
 
+    successor = transmits = None
+    if program.policy is NodePolicy.LOCAL_BELIEF:
+        successor, transmits = _belief_tables(program)
+
     return Timeline(
         num_rounds=len(slots_per_round),
         num_slots=num_slots,
@@ -390,6 +458,91 @@ def unroll_timeline(
         switch_delays=tuple(
             new_start - req_at for req_at, new_start, _f, _t in switches
         ),
+        round_uid=np.asarray(round_uid, dtype=np.intp),
+        round_reset=np.asarray(round_reset, dtype=np.intp),
+        slot_position=np.asarray(slot_position, dtype=np.intp),
+        belief_successor=successor,
+        belief_transmits=transmits,
+    )
+
+
+# -- which slots deliver ------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Delivery:
+    """Who transmitted in every slot of every trial, reduced.
+
+    Attributes:
+        delivering: ``(T, S)`` the slot's scheduled sender is its only
+            transmitter, so its data flood runs.
+        collisions: ``(T,)`` int64 slots with more than one transmitter.
+        stray: ``(T, N)`` int64 slots each node transmits in without
+            having heard the round's beacon — radio-on time on top of
+            the beacon receivers' participation.  ``None`` under beacon
+            gating, where only beacon receivers ever transmit.
+    """
+
+    delivering: np.ndarray
+    collisions: np.ndarray
+    stray: Optional[np.ndarray]
+
+
+def slot_delivery(
+    program: SystemProgram, timeline: Timeline, beacon: np.ndarray
+) -> Delivery:
+    """Decide, per trial, which slots deliver given who heard which beacon.
+
+    ``beacon`` is the ``(T, R, N)`` reception tensor.  Under beacon
+    gating a slot delivers when its sender heard the round's beacon
+    (the only candidate transmitter of a slot is its scheduled sender).
+
+    Under ``LOCAL_BELIEF`` every node acts on the round it *believes*
+    executes: the announced round when it heard the beacon, otherwise
+    the successor of its previous belief (nothing before its first
+    beacon), and a node that heard a mode-switch beacon resets to the
+    new mode's last round.  That recurrence is sequential in rounds and
+    parallel in trials, so it runs as **one** loop over ``R`` on a
+    ``(trials, nodes)`` belief matrix — the tensor form of
+    :func:`repro.mc.fastpath.run_program`'s per-node loop.  A slot
+    delivers when exactly one node transmits in it and that node is
+    the scheduled sender; more than one transmitter is a collision.
+    """
+    trials = beacon.shape[0]
+    if program.policy is not NodePolicy.LOCAL_BELIEF:
+        return Delivery(
+            delivering=beacon[:, timeline.slot_round, timeline.slot_sender],
+            collisions=np.zeros(trials, dtype=np.int64),
+            stray=None,
+        )
+
+    nodes = beacon.shape[2]
+    successor = timeline.belief_successor
+    belief = np.full((trials, nodes), len(successor) - 1, dtype=np.intp)
+    predicted = np.empty((trials, timeline.num_rounds, nodes), dtype=np.intp)
+    for r in range(timeline.num_rounds):
+        heard = beacon[:, r, :]
+        belief = np.where(heard, timeline.round_uid[r], successor[belief])
+        predicted[:, r, :] = belief
+        reset = timeline.round_reset[r]
+        if reset >= 0:
+            belief = np.where(heard, reset, belief)
+
+    # (T, S, N): node n transmits in slot s.
+    transmits = timeline.belief_transmits[
+        predicted[:, timeline.slot_round, :],
+        np.arange(nodes),
+        timeline.slot_position[:, None],
+    ]
+    count = transmits.sum(axis=2)
+    sender_transmits = transmits[
+        :, np.arange(timeline.num_slots), timeline.slot_sender
+    ]
+    heard_slots = beacon[:, timeline.slot_round, :]
+    return Delivery(
+        delivering=(count == 1) & sender_transmits,
+        collisions=(count > 1).sum(axis=1, dtype=np.int64),
+        stray=(transmits & ~heard_slots).sum(axis=1, dtype=np.int64),
     )
 
 
@@ -555,11 +708,11 @@ class _TraceReplayVector:
     """Tensor twin of :class:`TraceReplayLoss` (deterministic).
 
     The beacon cursor advances once per round; the data cursor advances
-    only for *delivering* slots — and under beacon gating, with a
-    deterministic beacon sequence, which slots deliver is itself
-    deterministic, so the whole cursor walk happens here, once.
-    Non-delivering slots never read their data row (the accumulator
-    masks them out) and are filled permissively.
+    only for *delivering* slots — and with a deterministic beacon
+    sequence, which slots deliver (:func:`slot_delivery`, under either
+    policy) is itself deterministic, so the whole cursor walk happens
+    here, once.  Non-delivering slots never read their data row (the
+    accumulator masks them out) and are filled permissively.
     """
 
     def __init__(
@@ -620,7 +773,9 @@ class _TraceReplayVector:
             beacon[r] = True if row is None else row
         beacon[:, host_index] = True
 
-        delivering = beacon[timeline.slot_round, timeline.slot_sender]
+        delivering = slot_delivery(
+            program, timeline, beacon[None]
+        ).delivering[0]
         data = np.ones((timeline.num_slots, nodes), dtype=bool)
         cursor = 0
         for slot in np.flatnonzero(delivering):
@@ -850,6 +1005,114 @@ class _InterferenceVector:
         return beacon, data
 
 
+class _GlossyVector:
+    """Tensor twin of :class:`GlossyLoss`: hop-by-hop frontier propagation.
+
+    Every beacon and every data slot is one Glossy flood over the whole
+    topology, relays included.  Per trial the draw is one uniform
+    tensor of shape ``(steps, floods, topology nodes)`` with ``steps =
+    H + 2N - 1`` and the floods ordered beacons ``(R)`` then data slots
+    ``(S)``.  All floods of all trials then advance together, one
+    boolean ``(trials, floods, nodes)`` step per hop: a node not yet
+    reached receives in step ``t`` with probability ``1 - (1 - p)^k``,
+    ``k`` its neighbours transmitting in ``t`` (the reference draws once
+    per transmitting neighbour until the first success); a node
+    transmits in the ``N`` steps that follow its first reception, the
+    initiator in steps ``0 .. N-1``.  The reception sets are finally
+    projected onto the program's nodes — a program node outside the
+    topology never receives.  The host (beacons) and the sender (data)
+    always hold their own packet.
+    """
+
+    def __init__(
+        self,
+        model: GlossyLoss,
+        program: SystemProgram,
+        timeline: Timeline,
+        host_index: int,
+    ) -> None:
+        simulator = model.simulator
+        topology_nodes = model.topology.nodes
+        position = {name: i for i, name in enumerate(topology_nodes)}
+        names = program.node_names
+        if timeline.num_rounds and names[host_index] not in position:
+            # The reference floods from the host every round and fails
+            # the same way on the first beacon.
+            raise ValueError(
+                f"initiator {names[host_index]!r} not in topology"
+            )
+        size = len(topology_nodes)
+        adjacency = np.zeros((size, size), dtype=np.float64)
+        for a, b in model.topology.graph.edges:
+            adjacency[position[a], position[b]] = 1.0
+            adjacency[position[b], position[a]] = 1.0
+        self._adjacency = adjacency
+        degree = int(adjacency.sum(axis=0).max())
+        self._reach = 1.0 - (1.0 - simulator.link_success) ** np.arange(
+            degree + 1
+        )
+        self._steps = simulator.num_steps
+        self._n_tx = simulator.constants.n_tx
+
+        # Program node -> topology position, -1 outside the topology.
+        # A sender outside the topology never hears a beacon, so its
+        # data floods never run; its -1 initiator just floods nothing.
+        where = np.array([position.get(name, -1) for name in names],
+                         dtype=np.intp)
+        initiator = np.concatenate([
+            np.full(timeline.num_rounds, where[host_index], dtype=np.intp),
+            where[timeline.slot_sender],
+        ])
+        self._flood = np.flatnonzero(initiator >= 0)
+        self._initiator = initiator[self._flood]
+        self._inside = np.flatnonzero(where >= 0)
+        self._inside_at = where[self._inside]
+        self._rounds = timeline.num_rounds
+        self._slots = timeline.num_slots
+        self._nodes = len(names)
+        self._host = host_index
+        self._senders = timeline.slot_sender
+        floods = timeline.num_rounds + timeline.num_slots
+        #: Per-trial bytes beyond the ``(R + S, N)`` cells: the uniform
+        #: draws plus the first-reception and per-step work tensors.
+        self.draw_bytes = floods * size * (8 * self._steps + 40)
+
+    def sample(self, rngs: Sequence[np.random.Generator]):
+        trials = len(rngs)
+        steps, n_tx = self._steps, self._n_tx
+        floods = self._rounds + self._slots
+        size = self._adjacency.shape[0]
+        uniforms = np.empty((trials, steps, floods, size), dtype=np.float64)
+        for t, rng in enumerate(rngs):
+            uniforms[t] = rng.random((steps, floods, size))
+
+        # first[t, f, m]: the step node m starts relaying flood f (its
+        # first reception + 1; 0 for the initiator), ``never`` before
+        # it is reached.
+        never = steps + 1
+        first = np.full((trials, floods, size), never, dtype=np.int32)
+        first[:, self._flood, self._initiator] = 0
+        for step in range(steps):
+            sending = (first <= step) & (first + n_tx > step)
+            heard_from = sending.reshape(-1, size) @ self._adjacency
+            reach = self._reach[heard_from.astype(np.intp)]
+            fresh = (first == never) & (
+                uniforms[:, step] < reach.reshape(first.shape)
+            )
+            first[fresh] = step + 1
+        received = first != never
+
+        beacon = np.zeros((trials, self._rounds, self._nodes), dtype=bool)
+        data = np.zeros((trials, self._slots, self._nodes), dtype=bool)
+        beacon[:, :, self._inside] = received[:, : self._rounds,
+                                              self._inside_at]
+        data[:, :, self._inside] = received[:, self._rounds :,
+                                            self._inside_at]
+        beacon[:, :, self._host] = True
+        data[:, np.arange(self._slots), self._senders] = True
+        return beacon, data
+
+
 def _perfect_builder(model, program, timeline, host_index):
     return _PerfectVector(model, program, timeline, host_index)
 
@@ -857,8 +1120,7 @@ def _perfect_builder(model, program, timeline, host_index):
 #: loss kind -> vector sampler builder.  ``None`` (no loss) maps to
 #: perfect.  A kind absent here is *unsupported*:
 #: :func:`supports_loss_kind` returns False and the trial entry point
-#: falls back to the ``fast`` engine (``glossy`` floods are genuinely
-#: topology-sequential and stay scalar).
+#: falls back down the ladder.  Every built-in kind is registered.
 VECTOR_SAMPLERS: Dict[Optional[str], Callable] = {
     None: _perfect_builder,
     "perfect": _perfect_builder,
@@ -866,6 +1128,7 @@ VECTOR_SAMPLERS: Dict[Optional[str], Callable] = {
     "gilbert_elliott": _GilbertElliottVector,
     "scripted_beacon": _ScriptedBeaconVector,
     "trace_replay": _TraceReplayVector,
+    "glossy": _GlossyVector,
     "spatial": _SpatialVector,
     "matrix_trace": _MatrixTraceVector,
     "time_varying": _TimeVaryingVector,
@@ -898,12 +1161,13 @@ def accumulate_trials(
     trials = beacon.shape[0]
     node_count = len(program.node_names)
 
-    # A slot delivers iff its scheduled sender heard this round's
-    # beacon (beacon gating); it counts as delivered when every
-    # consumer receives the data flood.
-    delivering = beacon[:, timeline.slot_round, timeline.slot_sender]
+    # A delivering slot (see slot_delivery) counts as delivered when
+    # every consumer receives the data flood.
+    delivery = slot_delivery(program, timeline, beacon)
     covered = ~np.any(timeline.consumers[None, :, :] & ~data, axis=2)
-    delivered = delivering & covered & timeline.has_consumers[None, :]
+    delivered = (
+        delivery.delivering & covered & timeline.has_consumers[None, :]
+    )
     on_time = delivered & timeline.slot_deadline_ok[None, :]
 
     heard = beacon.sum(axis=(1, 2), dtype=np.int64)
@@ -919,12 +1183,14 @@ def accumulate_trials(
     ]
 
     # Radio accounting: every node is on for every beacon; during data
-    # slots exactly the nodes that heard the round's beacon participate
-    # (the delivering sender is always among them).
+    # slots the nodes that heard the round's beacon participate, plus
+    # any node transmitting without having heard it (LOCAL_BELIEF).
     if program.radio_beacon_on is not None:
         participation = np.tensordot(
             beacon.astype(np.int64), timeline.slots_per_round, axes=([1], [0])
         )
+        if delivery.stray is not None:
+            participation += delivery.stray
         radio = (
             timeline.num_rounds * program.radio_beacon_on
             + participation * program.radio_data_on
@@ -948,7 +1214,7 @@ def accumulate_trials(
     for t in range(trials):
         result = TrialResult(duration=duration)
         result.rounds = timeline.num_rounds
-        result.collisions = 0  # beacon gating is collision-free
+        result.collisions = int(delivery.collisions[t])
         result.beacon_heard = (int(heard[t]), expected)
         result.messages = {
             name: (int(on[t]), int(deliv[t]), total)
@@ -978,11 +1244,17 @@ def _normalize_seed(seed):
     return seed  # Generators/SeedSequences pass straight through
 
 
-def _chunk_size(timeline: Timeline, node_count: int) -> int:
+def _chunk_size(program: SystemProgram, timeline: Timeline, sampler) -> int:
     """Trials per tensor chunk under :data:`TENSOR_BUDGET_BYTES`."""
-    cells = (timeline.num_rounds + timeline.num_slots) * max(node_count, 1)
-    # ~3 float64 draw tensors + bool masks per cell, rounded up.
-    per_trial = max(cells * 32, 1)
+    cells = (timeline.num_rounds + timeline.num_slots) * max(
+        len(program.node_names), 1
+    )
+    # ~3 float64 draw tensors + bool masks per cell, rounded up; the
+    # LOCAL_BELIEF scan adds a round id and transmit masks per cell.
+    per_cell = 48 if program.policy is NodePolicy.LOCAL_BELIEF else 32
+    # Samplers whose draws outgrow the cells (glossy floods run over
+    # every topology node, every hop step) declare the excess.
+    per_trial = max(cells * per_cell + getattr(sampler, "draw_bytes", 0), 1)
     return max(1, TENSOR_BUDGET_BYTES // per_trial)
 
 
@@ -1025,8 +1297,6 @@ def run_trials_vectorized(
             f"universe; the reference simulator handles it"
         )
     timeline = context.timeline()
-    if timeline is None:
-        raise VectorizeError(str(context.timeline_error))
 
     # Build the model once for validation and for the deterministic
     # kinds' scripts/events; the stochastic kinds only contribute their
@@ -1039,7 +1309,7 @@ def run_trials_vectorized(
     sampler = VECTOR_SAMPLERS[loss_kind](model, program, timeline, host_index)
 
     results: List[TrialResult] = []
-    chunk = _chunk_size(timeline, len(program.node_names))
+    chunk = _chunk_size(program, timeline, sampler)
     for start in range(0, len(seeds), chunk):
         batch = seeds[start : start + chunk]
         rngs = [

@@ -74,6 +74,11 @@ class GlossySimulator:
         seed: RNG seed for reproducible loss patterns — an integer, a
             ``random.Random``, a ``numpy.random.Generator``, or ``None``
             (see :func:`repro.core.rng.make_rng`).
+
+    Attributes:
+        num_steps: Hop-steps every flood lasts, ``H + 2N - 1`` (eq. 14)
+            — fixed at construction, since computing the diameter is
+            the dominant cost of a flood.
     """
 
     def __init__(
@@ -88,6 +93,7 @@ class GlossySimulator:
         self.topology = topology
         self.link_success = link_success
         self.constants = constants
+        self.num_steps = topology.diameter + 2 * constants.n_tx - 1
         self._rng = make_rng(seed)
 
     def flood(self, initiator: str, payload_bytes: int) -> FloodResult:
@@ -100,7 +106,7 @@ class GlossySimulator:
         if initiator not in self.topology.graph:
             raise ValueError(f"initiator {initiator!r} not in topology")
         n_tx = self.constants.n_tx
-        num_steps = self.topology.diameter + 2 * n_tx - 1
+        num_steps = self.num_steps
 
         received: Set[str] = {initiator}
         first_rx: Dict[str, int] = {initiator: 0}

@@ -21,6 +21,14 @@ loss-kind, loss-params)``.  All randomness lives in the loss model,
 every loss model consumes its random stream in sorted-node order (see
 :mod:`repro.runtime.loss`), and schedules round-trip JSON exactly — so
 equal seeds give equal traces in any process on any platform.
+
+Trials run on one of :data:`ENGINES`, resolved per scenario by
+:func:`trial_engine`.  ``vectorized`` covers every built-in loss kind
+(``glossy`` floods included) under both node policies (the
+``LOCAL_BELIEF`` ablation included); requests fall back down the
+``vectorized -> fast -> reference`` ladder only for custom loss kinds,
+scenarios the compiler rejects, and beacon hosts outside the
+deployment.
 """
 
 from __future__ import annotations
@@ -167,9 +175,6 @@ class TrialContext:
         default=None, repr=False, compare=False
     )
     _timeline: object = field(default=False, repr=False, compare=False)
-    _timeline_error: Optional[str] = field(
-        default=None, repr=False, compare=False
-    )
 
     def compiled(self):
         """The compiled :class:`~repro.runtime.compiled.SystemProgram`,
@@ -198,31 +203,20 @@ class TrialContext:
 
     def timeline(self):
         """The unrolled deterministic :class:`~repro.mc.vectorized.Timeline`
-        of the scenario, or ``None`` when the scenario does not compile
-        or the vectorized kernel does not support it
-        (:attr:`timeline_error` then says why).  Computed once per
-        context, like :meth:`compiled`."""
+        of the scenario (under either node policy), or ``None`` when the
+        scenario does not compile (:attr:`compile_error` then says
+        why).  Computed once per context, like :meth:`compiled`."""
         if self._timeline is False:
             program = self.compiled()
             if program is None:
                 self._timeline = None
-                self._timeline_error = self._compile_error
             else:
-                from ..mc.vectorized import VectorizeError, unroll_timeline
+                from ..mc.vectorized import unroll_timeline
 
-                try:
-                    self._timeline = unroll_timeline(
-                        program, self.duration, self.mode_requests
-                    )
-                except VectorizeError as exc:
-                    self._timeline = None
-                    self._timeline_error = str(exc)
+                self._timeline = unroll_timeline(
+                    program, self.duration, self.mode_requests
+                )
         return self._timeline
-
-    @property
-    def timeline_error(self) -> Optional[str]:
-        """Why :meth:`timeline` returned ``None`` (``None`` otherwise)."""
-        return self._timeline_error
 
 
 def build_context(data: dict) -> TrialContext:
@@ -291,8 +285,10 @@ def build_context(data: dict) -> TrialContext:
 #: transparently falls back to ``reference`` for anything the compiler
 #: or its loss samplers do not support.  ``vectorized`` additionally
 #: replaces the per-trial loop with tensor sampling and reduction
-#: (:mod:`repro.mc.vectorized`) — distribution-equivalent, not
-#: bit-identical, and falling back ``vectorized -> fast -> reference``.
+#: (:mod:`repro.mc.vectorized`; every built-in loss kind, ``glossy``
+#: floods included, under both node policies) — distribution-equivalent,
+#: not bit-identical, and falling back ``vectorized -> fast ->
+#: reference``.
 #: ``reference`` always walks the full object-level simulator.
 #: ``fast`` and ``reference`` produce bit-identical results; ``fast``
 #: is the default.
@@ -309,10 +305,10 @@ def trial_engine(
     ``engine="fast"`` resolves to ``"fast"`` when the scenario
     compiles, the loss kind has a fast-path sampler, and the beacon
     host resolves to a compiled node index; ``"reference"`` otherwise.
-    ``engine="vectorized"`` resolves to ``"vectorized"`` when, in
-    addition, the loss kind has a vector sampler and the round timeline
-    unrolls (beacon-gated policy); anything unsupported falls through
-    the same ladder to ``"fast"``, then ``"reference"``.
+    ``engine="vectorized"`` resolves to ``"vectorized"`` under the same
+    conditions when the loss kind also has a vector sampler — every
+    built-in kind does, under either node policy; anything unsupported
+    falls through the same ladder to ``"fast"``, then ``"reference"``.
     ``engine="reference"`` is always itself.
     """
     if engine == "reference":
@@ -353,10 +349,9 @@ def fallback_reason(
     ``resolved`` — ``None`` when it did not.
 
     Mirrors :func:`trial_engine`'s rules and surfaces the stored
-    diagnostics (:attr:`TrialContext.compile_error` /
-    :attr:`TrialContext.timeline_error`), so observability events can
-    say *why* a campaign ran scalar, not merely that it did.  Only
-    called on the fallback path — costs nothing otherwise.
+    diagnostic (:attr:`TrialContext.compile_error`), so observability
+    events can say *why* a campaign ran scalar, not merely that it did.
+    Only called on the fallback path — costs nothing otherwise.
     """
     if resolved == requested:
         return None
@@ -366,22 +361,17 @@ def fallback_reason(
 
         if not vector_supports(loss_kind):
             reasons.append(f"no vector sampler for loss kind {loss_kind!r}")
-        elif context.timeline() is None:
-            reasons.append(f"timeline: {context.timeline_error}")
-        elif (
-            context.compiled() is not None
-            and context.compiled().resolve_host(context.host_node) is None
-        ):
-            reasons.append(f"host {context.host_node!r} not in the program")
     if resolved == "reference":
         from ..mc.fastpath import supports_loss_kind
 
         if not supports_loss_kind(loss_kind):
             reasons.append(f"no fast-path sampler for loss kind {loss_kind!r}")
-        elif context.compiled() is None:
-            reasons.append(f"compile: {context.compile_error}")
-        elif context.compiled().resolve_host(context.host_node) is None:
-            reasons.append(f"host {context.host_node!r} not in the program")
+    # Both lower rungs need a compiled program with a maskable host.
+    program = context.compiled()
+    if program is None:
+        reasons.append(f"compile: {context.compile_error}")
+    elif program.resolve_host(context.host_node) is None:
+        reasons.append(f"host {context.host_node!r} not in the program")
     return "; ".join(reasons) or "unsupported scenario feature"
 
 

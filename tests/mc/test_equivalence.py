@@ -13,11 +13,15 @@ horizons) raise :class:`EquivalenceError`.
 
 Deterministic loss kinds (perfect, scripted, trace replay) admit a
 stronger check — with no randomness left, the engines must agree
-exactly, not just statistically — and get one.
+exactly, not just statistically — and get one, under both node
+policies.  The ``LOCAL_BELIEF`` ablation collides; its collision counts
+are a sampled quantity there, and a belief scan that never advances
+beliefs or drops collisions must be flagged.
 """
 
 import dataclasses
 
+import numpy as np
 import pytest
 
 from repro.api import (
@@ -37,9 +41,10 @@ from repro.mc import (
     assert_engines_equivalent,
     run_campaign,
 )
-from repro.mc.campaign import scenario_context
+from repro.mc import vectorized as vectorized_module
+from repro.mc.campaign import PointResult, scenario_context
 from repro.mc.equivalence import ks_critical_value, ks_statistic
-from repro.runtime.trial import build_context, run_trial
+from repro.runtime.trial import TrialResult, build_context, run_trial
 from repro.mc.vectorized import run_trials_vectorized
 
 
@@ -92,6 +97,13 @@ def campaign_scenario(kind, params, *, trials=160, seed=11, **overrides):
             mode_requests=((300.0, "degraded"), (900.0, "normal")),
         ),
         **overrides,
+    )
+
+
+def with_policy(scenario: Scenario, policy: str) -> Scenario:
+    return dataclasses.replace(
+        scenario,
+        simulation=dataclasses.replace(scenario.simulation, policy=policy),
     )
 
 
@@ -190,11 +202,10 @@ class TestVectorizedEquivalence:
 
     @pytest.mark.parametrize("policy", ["beacon_gated", "local_belief"])
     def test_both_policies_give_compatible_campaigns(self, policy, tmp_path):
-        """Requesting ``vectorized`` is valid under *both* node
-        policies: beacon gating runs the tensor kernel, the
-        local-belief ablation falls back to the (bit-exact) fast
-        engine — either way the campaign is distribution-equivalent to
-        the reference."""
+        """Both node policies run the tensor kernel — beacon gating as
+        a gather, the local-belief ablation as a belief scan — and
+        either way the campaign is distribution-equivalent to the
+        reference."""
         def scenario():
             base = campaign_scenario(
                 "bernoulli", {"beacon_loss": 0.2, "data_loss": 0.1},
@@ -211,8 +222,7 @@ class TestVectorizedEquivalence:
                            engine="vectorized")
         reference = run_campaign(scenario(), cache_dir=tmp_path / "cache",
                                  engine="reference")
-        expected = "vectorized" if policy == "beacon_gated" else "fast"
-        assert vec.engines == {"switchy": expected}
+        assert vec.engines == {"switchy": "vectorized"}
         assert_distribution_equivalent(
             vec.points[0], reference.points[0], label=policy
         )
@@ -283,18 +293,242 @@ class TestConnectivityEquivalence:
             scenario,
             simulation=dataclasses.replace(scenario.simulation, policy=policy),
         )
-        # The tensor kernel only models beacon gating; the ablation
-        # policy resolves one rung down (to the bit-exact fast engine).
-        resolved = "vectorized" if policy == "beacon_gated" else "fast"
         assert_engines_equivalent(
             scenario,
             ("vectorized", "fast", "reference"),
             cache_dir=tmp_path / "cache",
-            expect={"vectorized": resolved,
+            expect={"vectorized": "vectorized",
                     "fast": "fast",
                     "reference": "reference"},
             label=f"{kind}/{policy}",
         )
+
+
+#: Multi-hop Glossy substrates: the scenario's nodes n0..n3 plus, on
+#: the ring, two relays that own no task.
+GLOSSY_MATRIX = [
+    ("line", TopologySpec("line", {"num_nodes": 5}), 0.5),
+    ("ring", TopologySpec("ring", {"num_nodes": 6}), 0.4),
+    ("line-0.6", TopologySpec("line", {"num_nodes": 4}), 0.6),
+]
+
+#: Every built-in kind under the LOCAL_BELIEF ablation not already in
+#: the connectivity matrix: (kind, params, extras, deterministic).
+#: Bernoulli beacons are lossy enough for both engines to collide — the
+#: collision rule compares per-trial means only once both runs collided.
+BELIEF_MATRIX = [
+    ("perfect", {}, {}, True),
+    ("bernoulli", {"beacon_loss": 0.4, "data_loss": 0.1}, {}, False),
+    VECTOR_LOSS_MATRIX[2][:2] + ({}, False),
+    VECTOR_LOSS_MATRIX[3][:2] + ({}, True),
+    VECTOR_LOSS_MATRIX[4][:2] + ({}, True),
+    ("glossy", {"link_success": 0.5},
+     {"topology": TopologySpec("line", {"num_nodes": 4})}, False),
+]
+
+
+class TestGlossyEquivalence:
+    """Hop-by-hop frontier propagation vs the scalar flood simulator,
+    with radio accounting on."""
+
+    @pytest.mark.parametrize(
+        "topology,link_success", [row[1:] for row in GLOSSY_MATRIX],
+        ids=[row[0] for row in GLOSSY_MATRIX],
+    )
+    @pytest.mark.parametrize("seed", [11, 23])
+    def test_three_engines_equivalent(
+        self, topology, link_success, seed, tmp_path
+    ):
+        scenario = campaign_scenario(
+            "glossy", {"link_success": link_success}, trials=120, seed=seed,
+            topology=topology, radio=RadioSpec(payload_bytes=16, diameter=4),
+        )
+        results = assert_engines_equivalent(
+            scenario,
+            ("vectorized", "fast", "reference"),
+            cache_dir=tmp_path / "cache",
+            expect={"vectorized": "vectorized"},
+            label=f"glossy/{topology.kind}",
+        )
+        stats = results["vectorized"].points[0].stats
+        assert stats.radio_on is not None and stats.collisions == 0
+        # Multi-hop floods at p <= 0.6 lose beacons on the far nodes.
+        assert 0.3 < stats.beacon.rate < 0.95
+
+
+class TestLocalBeliefEquivalence:
+    """The belief scan vs both exact engines, per built-in loss kind
+    (the connectivity kinds run under both policies above)."""
+
+    @pytest.mark.parametrize(
+        "kind,params,extras,deterministic", BELIEF_MATRIX,
+        ids=[row[0] for row in BELIEF_MATRIX],
+    )
+    @pytest.mark.parametrize("seed", [11, 23])
+    def test_three_engines_equivalent(
+        self, kind, params, extras, deterministic, seed, tmp_path
+    ):
+        scenario = with_policy(
+            campaign_scenario(kind, params, seed=seed, **extras),
+            "local_belief",
+        )
+        results = assert_engines_equivalent(
+            scenario,
+            ("vectorized", "fast", "reference"),
+            cache_dir=tmp_path / "cache",
+            expect={"vectorized": "vectorized"},
+            label=f"{kind}/local_belief",
+        )
+        vec = results["vectorized"].points[0]
+        reference = results["reference"].points[0]
+        if deterministic:
+            for vec_trial, ref_trial in zip(vec.trials, reference.trials):
+                assert vec_trial.to_dict() == ref_trial.to_dict()
+        else:
+            assert vec.stats.collisions > 0  # the ablation is exercised
+
+    def test_radio_accounting_equivalent(self, tmp_path):
+        """Nodes that transmit without having heard the beacon keep
+        their radio on too — the stray participation must match."""
+        scenario = with_policy(
+            campaign_scenario(
+                "bernoulli", {"beacon_loss": 0.4, "data_loss": 0.1},
+                radio=RadioSpec(payload_bytes=16, diameter=3),
+            ),
+            "local_belief",
+        )
+        results = assert_engines_equivalent(
+            scenario, ("vectorized", "reference"),
+            cache_dir=tmp_path / "cache",
+            expect={"vectorized": "vectorized"}, label="belief/radio",
+        )
+        vec = results["vectorized"].points[0].stats
+        ref = results["reference"].points[0].stats
+        assert vec.radio_on is not None and vec.collisions > 0
+        assert vec.radio_on.mean == pytest.approx(ref.radio_on.mean,
+                                                  rel=0.01)
+
+
+class TestBeliefScanHasTeeth:
+    """Deliberately broken belief scans must be *flagged* against the
+    reference oracle."""
+
+    @pytest.fixture(scope="class")
+    def reference(self, tmp_path_factory):
+        return run_campaign(
+            self.scenario(), cache_dir=tmp_path_factory.mktemp("cache"),
+            engine="reference",
+        ).points[0]
+
+    @staticmethod
+    def scenario():
+        return with_policy(
+            campaign_scenario(
+                "bernoulli", {"beacon_loss": 0.4, "data_loss": 0.1},
+                trials=200,
+            ),
+            "local_belief",
+        )
+
+    def vectorized(self, tmp_path):
+        result = run_campaign(self.scenario(), cache_dir=tmp_path / "cache",
+                              engine="vectorized")
+        assert result.engines == {"switchy": "vectorized"}
+        return result.points[0]
+
+    def test_intact_scan_passes(self, reference, tmp_path):
+        assert_distribution_equivalent(self.vectorized(tmp_path), reference)
+
+    def test_flags_beliefs_that_never_advance(
+        self, reference, tmp_path, monkeypatch
+    ):
+        """A node that missed the beacon re-predicts its last round
+        instead of the next one."""
+        original = vectorized_module._belief_tables
+
+        def frozen(program):
+            successor, transmits = original(program)
+            return np.arange(len(successor)), transmits
+
+        monkeypatch.setattr(vectorized_module, "_belief_tables", frozen)
+        with pytest.raises(EquivalenceError, match="collision|incompatible"):
+            assert_distribution_equivalent(self.vectorized(tmp_path),
+                                           reference)
+
+    def test_flags_dropped_collisions(self, reference, tmp_path, monkeypatch):
+        original = vectorized_module.slot_delivery
+
+        def collision_free(program, timeline, beacon):
+            delivery = original(program, timeline, beacon)
+            return dataclasses.replace(
+                delivery, collisions=np.zeros_like(delivery.collisions)
+            )
+
+        monkeypatch.setattr(vectorized_module, "slot_delivery",
+                            collision_free)
+        with pytest.raises(EquivalenceError,
+                           match="collision counts differ: 0 vs"):
+            assert_distribution_equivalent(self.vectorized(tmp_path),
+                                           reference)
+
+
+def point_with_collisions(counts):
+    """A PointResult whose trials differ only in their collisions."""
+    trials = [TrialResult(rounds=10, collisions=c, duration=10.0)
+              for c in counts]
+    return PointResult(scenario="s", point={}, seeds=[None] * len(trials),
+                       stats=CampaignStats.aggregate(trials), trials=trials)
+
+
+class TestCollisionRule:
+    """Which collision check applies is decided by the runs' data."""
+
+    def test_collision_free_runs_agree(self):
+        assert_distribution_equivalent(point_with_collisions([0] * 50),
+                                       point_with_collisions([0] * 50))
+
+    def test_collision_free_run_admits_none_on_the_other_side(self):
+        """Beacon gating cannot collide: one collision anywhere fails,
+        however noisy a per-trial comparison would call it."""
+        with pytest.raises(EquivalenceError,
+                           match="collision counts differ: 0 vs 1"):
+            assert_distribution_equivalent(
+                point_with_collisions([0] * 50),
+                point_with_collisions([0] * 49 + [1]),
+            )
+
+    def test_colliding_runs_compare_per_trial_means(self):
+        """The scratch-run figures: 3 vs 6 collisions over 100 trials
+        are compatible draws of one distribution."""
+        assert_distribution_equivalent(
+            point_with_collisions([1] * 3 + [0] * 97),
+            point_with_collisions([2] * 3 + [0] * 97),
+        )
+
+    def test_incompatible_collision_means_fail(self):
+        with pytest.raises(EquivalenceError,
+                           match="per-trial collision means incompatible"):
+            assert_distribution_equivalent(
+                point_with_collisions([1] * 5 + [0] * 95),
+                point_with_collisions([3] * 60 + [0] * 40),
+            )
+
+    def test_constant_collisions_must_match_exactly(self):
+        """Deterministic runs collide identically in every trial: zero
+        spread leaves no tolerance."""
+        assert_distribution_equivalent(point_with_collisions([2] * 20),
+                                       point_with_collisions([2] * 20))
+        with pytest.raises(EquivalenceError, match="incompatible"):
+            assert_distribution_equivalent(point_with_collisions([2] * 20),
+                                           point_with_collisions([3] * 20))
+
+    def test_bare_stats_compare_exactly(self):
+        """Without per-trial samples there is no per-trial statistic;
+        the totals must match."""
+        a = point_with_collisions([1] * 3 + [0] * 97).stats
+        b = point_with_collisions([2] * 3 + [0] * 97).stats
+        with pytest.raises(EquivalenceError, match="collision counts differ"):
+            assert_distribution_equivalent(a, b)
 
 
 class TestConnectivityHarnessHasTeeth:

@@ -8,7 +8,11 @@ Three claims beyond distribution equivalence (which
   ``jobs=1`` vs a process pool, repeated runs.
 * **Fallback** — ``engine="vectorized"`` never errors on unsupported
   features; it resolves down the ``vectorized -> fast -> reference``
-  ladder and the campaign/CLI report what actually ran.
+  ladder and the campaign/CLI report what actually ran.  Every
+  built-in loss kind (``glossy`` included) and both node policies
+  vectorize, so the tests reach the lower rungs through a beacon host
+  outside the deployment, an uncompilable context, or a loss kind
+  without a vector sampler.
 * **Plumbing** — the batch executor produces exactly the per-trial
   payload shape the aggregator expects, on both the tensor path and
   the scalar-fallback path.
@@ -28,6 +32,7 @@ from repro.mc import run_campaign
 from repro.mc import vectorized as vectorized_module
 from repro.mc.campaign import scenario_context
 from repro.mc.vectorized import VectorizeError, run_trials_vectorized
+from repro.runtime.loss import build_loss
 from repro.runtime.trial import (
     build_context,
     execute_trial,
@@ -82,12 +87,43 @@ def context_for(scenario: Scenario):
     return build_context(scenario_context(scenario, schedules[scenario.name]))
 
 
+def with_policy(scenario: Scenario, policy: str) -> Scenario:
+    return dataclasses.replace(
+        scenario,
+        simulation=dataclasses.replace(scenario.simulation, policy=policy),
+    )
+
+
+def foreign_host_scenario(**overrides) -> Scenario:
+    """The beacon host owns no task or message: neither compiled
+    engine can mask it, so every request resolves to ``reference``."""
+    return switching_scenario(
+        simulation=SimulationSpec(duration=500.0, host_node="base_station"),
+        **overrides,
+    )
+
+
 BERNOULLI = {"beacon_loss": 0.15, "data_loss": 0.1}
+#: Heavy beacon loss: nodes miss switch beacons often enough to collide.
+BELIEF = {"beacon_loss": 0.5, "data_loss": 0.1}
+GLOSSY = {"link_success": 0.5}
+LINE = TopologySpec("line", {"num_nodes": 4})
 
 
 @pytest.fixture(scope="module")
 def gated_context():
     return context_for(switching_scenario(loss=None))
+
+
+@pytest.fixture(scope="module")
+def belief_context():
+    return context_for(with_policy(switching_scenario(loss=None),
+                                   "local_belief"))
+
+
+@pytest.fixture(scope="module")
+def glossy_context():
+    return context_for(switching_scenario(loss=None, topology=LINE))
 
 
 class TestDeterminism:
@@ -143,6 +179,49 @@ class TestDeterminism:
         )
         assert self.dicts(first) == self.dicts(second)
 
+    @pytest.mark.parametrize("case", ["glossy", "local_belief"])
+    def test_new_paths_split_and_chunk_invariant(
+        self, case, glossy_context, belief_context, monkeypatch
+    ):
+        """Glossy floods and the belief scan keep the batching
+        invariant: byte-identical results across trial splits and
+        across chunk sizes forced through the tensor budget."""
+        if case == "glossy":
+            context, kind, params = glossy_context, "glossy", GLOSSY
+        else:
+            context, kind, params = belief_context, "bernoulli", BELIEF
+        seeds = list(range(10))
+        whole = self.dicts(run_trials_vectorized(context, kind, params, seeds))
+        split = self.dicts(
+            run_trials_vectorized(context, kind, params, seeds[:2])
+            + run_trials_vectorized(context, kind, params, seeds[2:])
+        )
+        assert whole == split
+        for budget in (1, 3 * 1024 * 1024):
+            monkeypatch.setattr(vectorized_module, "TENSOR_BUDGET_BYTES",
+                                budget)
+            chunked = run_trials_vectorized(context, kind, params, seeds)
+            assert self.dicts(chunked) == whole
+        if case == "local_belief":
+            # Missed switch beacons make the ablation collide.
+            assert any(trial["collisions"] for trial in whole)
+
+    def test_chunk_budget_counts_glossy_draws(self, glossy_context):
+        """The glossy uniforms (one float64 per hop step, flood and
+        topology node) outgrow the per-cell estimate of the other
+        samplers; a chunk of them must still fit the tensor budget."""
+        program = glossy_context.compiled()
+        timeline = glossy_context.timeline()
+        model = build_loss("glossy", GLOSSY, glossy_context.topology)
+        sampler = vectorized_module.VECTOR_SAMPLERS["glossy"](
+            model, program, timeline, program.resolve_host(None),
+        )
+        floods = timeline.num_rounds + timeline.num_slots
+        draws = (8 * model.simulator.num_steps * floods
+                 * len(glossy_context.topology.nodes))
+        chunk = vectorized_module._chunk_size(program, timeline, sampler)
+        assert chunk * draws <= vectorized_module.TENSOR_BUDGET_BYTES
+
     def test_unseeded_trials_run(self, gated_context):
         results = run_trials_vectorized(
             gated_context, "bernoulli", BERNOULLI, [None, None]
@@ -184,39 +263,52 @@ class TestFallbackLadder:
             assert trial_engine(gated_context, kind, "vectorized") == \
                 "vectorized"
 
-    def test_glossy_falls_back_to_fast(self):
-        """Glossy floods are topology-sequential — no vector sampler —
-        but the fast path handles them, so the ladder stops there."""
-        context = context_for(switching_scenario(
-            loss=None, topology=TopologySpec("line", {"num_nodes": 4}),
-        ))
-        assert trial_engine(context, "glossy", "vectorized") == "fast"
+    def test_glossy_and_local_belief_resolve_vectorized(
+        self, glossy_context, belief_context
+    ):
+        """Neither Glossy floods nor the belief recurrence leave the
+        tensor kernel: the local-belief timeline unrolls like the gated
+        one, with the round ids the belief scan needs."""
+        assert trial_engine(glossy_context, "glossy", "vectorized") == \
+            "vectorized"
+        timeline = belief_context.timeline()
+        assert trial_engine(belief_context, "bernoulli", "vectorized") == \
+            "vectorized"
+        assert timeline.round_uid.shape == (timeline.num_rounds,)
+        assert (timeline.round_reset >= 0).sum() == 2  # two mode switches
+        assert timeline.slot_position.shape == (timeline.num_slots,)
+        assert timeline.belief_transmits is not None
+
+    def test_kind_without_vector_sampler_falls_back_to_fast(
+        self, glossy_context, monkeypatch
+    ):
+        """A kind the fast path samples but the kernel does not stops
+        one rung down, bit-identical to the fast engine."""
+        monkeypatch.delitem(vectorized_module.VECTOR_SAMPLERS, "glossy")
+        assert trial_engine(glossy_context, "glossy", "vectorized") == "fast"
         params = {"link_success": 0.9, "seed": 3}
-        via_vectorized = run_trial(context, "glossy", params,
+        via_vectorized = run_trial(glossy_context, "glossy", params,
                                    engine="vectorized")
-        via_fast = run_trial(context, "glossy", params, engine="fast")
+        via_fast = run_trial(glossy_context, "glossy", params, engine="fast")
         assert via_vectorized.to_dict() == via_fast.to_dict()
 
-    def test_local_belief_falls_back_to_fast(self):
-        """The LOCAL_BELIEF ablation couples transmission to the loss
-        realization, so no deterministic timeline exists; the context
-        records why and trials run on the (bit-exact) fast engine."""
-        scenario = switching_scenario(loss=None)
-        scenario = dataclasses.replace(
-            scenario,
-            simulation=dataclasses.replace(
-                scenario.simulation, policy="local_belief"
-            ),
-        )
-        context = context_for(scenario)
-        assert context.timeline() is None
-        assert "beacon_gated" in context.timeline_error
-        assert trial_engine(context, "bernoulli", "vectorized") == "fast"
+    def test_local_belief_foreign_host_falls_back_to_reference(self):
+        """The ablation with a host outside the deployment: the
+        timeline unrolls, but no compiled engine can mask the host, so
+        the ladder ends at the reference simulator — collisions
+        included, bit for bit."""
+        context = context_for(with_policy(
+            foreign_host_scenario(loss=None), "local_belief"
+        ))
+        assert context.timeline() is not None
+        assert trial_engine(context, "bernoulli", "vectorized") == \
+            "reference"
         params = {"beacon_loss": 0.3, "data_loss": 0.1, "seed": 2}
         via_vectorized = run_trial(context, "bernoulli", params,
                                    engine="vectorized")
-        via_fast = run_trial(context, "bernoulli", params, engine="fast")
-        assert via_vectorized.to_dict() == via_fast.to_dict()
+        reference = run_trial(context, "bernoulli", params,
+                              engine="reference")
+        assert via_vectorized.to_dict() == reference.to_dict()
 
     def test_uncompilable_context_falls_back_to_reference(self, monkeypatch):
         from repro.runtime.compiled import CompileError
@@ -236,12 +328,7 @@ class TestFallbackLadder:
         assert via_vectorized.to_dict() == reference.to_dict()
 
     def test_foreign_host_falls_back_to_reference(self):
-        scenario = switching_scenario(
-            loss=None,
-            simulation=SimulationSpec(duration=500.0,
-                                      host_node="base_station"),
-        )
-        context = context_for(scenario)
+        context = context_for(foreign_host_scenario(loss=None))
         assert context.compiled() is not None  # compiles fine ...
         assert trial_engine(context, "bernoulli", "vectorized") == \
             "reference"  # ... but the host cannot be masked
@@ -278,32 +365,28 @@ class TestFallbackLadder:
         """Called directly (below the ladder), the kernel raises the
         typed error the engine resolution gates on."""
         with pytest.raises(VectorizeError, match="no vectorized sampler"):
-            run_trials_vectorized(gated_context, "glossy",
-                                  {"link_success": 0.9}, [1])
-        foreign = context_for(switching_scenario(
-            loss=None,
-            simulation=SimulationSpec(duration=500.0,
-                                      host_node="base_station"),
-        ))
+            run_trials_vectorized(gated_context, "no_such_kind", {}, [1])
+        foreign = context_for(foreign_host_scenario(loss=None))
         with pytest.raises(VectorizeError, match="outside the compiled"):
             run_trials_vectorized(foreign, "bernoulli", BERNOULLI, [1])
 
     def test_campaign_records_fallback_engine(self, tmp_path):
-        """A glossy campaign requested as vectorized reports — and is
-        bit-identical to — the fast engine."""
+        """A foreign-host campaign requested as vectorized reports — and
+        is bit-identical to — the reference engine."""
         def scenario():
             return switching_scenario(
-                loss=LossSpec("glossy", {"link_success": 0.9}),
-                topology=TopologySpec("line", {"num_nodes": 4}),
-                simulation=SimulationSpec(duration=800.0, trials=6, seed=9),
+                loss=LossSpec("bernoulli", dict(BERNOULLI)),
+                simulation=SimulationSpec(duration=800.0, trials=6, seed=9,
+                                          host_node="base_station"),
             )
 
         requested = run_campaign(scenario(), cache_dir=tmp_path / "cache",
                                  engine="vectorized")
-        fast = run_campaign(scenario(), cache_dir=tmp_path / "cache",
-                            engine="fast")
-        assert requested.engines == {"switchy": "fast"}
-        assert requested.to_dict()["points"] == fast.to_dict()["points"]
+        reference = run_campaign(scenario(), cache_dir=tmp_path / "cache",
+                                 engine="reference")
+        assert requested.engines == {"switchy": "reference"}
+        assert requested.to_dict()["points"] == \
+            reference.to_dict()["points"]
 
 
 class TestExecutors:
@@ -351,35 +434,36 @@ class TestExecutors:
         """When the ladder resolves below vectorized, the batch path
         must reproduce the per-trial task path bit for bit —
         including the per-trial reseeding."""
-        context = context_for(switching_scenario(
-            loss=LossSpec("glossy", {"link_success": 0.9}),
-            topology=TopologySpec("line", {"num_nodes": 4}),
+        context = context_for(foreign_host_scenario(
+            loss=LossSpec("bernoulli", dict(BERNOULLI)),
         ))
         outcome = execute_trial_batch(context, {
             "scenario": "switchy", "point": 0,
             "trials": [(0, 5), (1, 6)],
-            "loss": {"kind": "glossy", "params": {"link_success": 0.9}},
+            "loss": {"kind": "bernoulli", "params": dict(BERNOULLI)},
             "engine": "vectorized",
         })
-        assert outcome["engine_used"] == "fast"
+        assert outcome["engine_used"] == "reference"
+        assert "base_station" in outcome["engine_reason"]
         for payload, seed in zip(outcome["results"], [5, 6]):
             per_trial = execute_trial(context, {
-                "loss": {"kind": "glossy",
-                         "params": {"link_success": 0.9, "seed": seed}},
-                "engine": "fast",
+                "loss": {"kind": "bernoulli",
+                         "params": dict(BERNOULLI, seed=seed)},
+                "engine": "reference",
             })
-            assert payload["engine_used"] == "fast"
+            assert payload["engine_used"] == "reference"
             for key in ("messages", "rounds", "radio_on", "chains"):
                 assert payload[key] == per_trial[key]
 
 
 class TestCliEngineReporting:
     def save_scenario(self, tmp_path, **overrides):
-        scenario = switching_scenario(
+        fields = dict(
             loss=LossSpec("bernoulli", dict(BERNOULLI)),
             simulation=SimulationSpec(duration=400.0, trials=3, seed=7),
-            **overrides,
         )
+        fields.update(overrides)
+        scenario = switching_scenario(**fields)
         path = tmp_path / "vec.scenario.json"
         scenario.save(path)
         return path
@@ -401,15 +485,32 @@ class TestCliEngineReporting:
         scenario = dataclasses.replace(
             scenario,
             simulation=dataclasses.replace(
-                scenario.simulation, policy="local_belief"
+                scenario.simulation, host_node="base_station"
             ),
         )
-        path = tmp_path / "belief.scenario.json"
+        path = tmp_path / "foreign.scenario.json"
         scenario.save(path)
         assert main(["scenario", "mc", str(path), "--trials", "3",
                      "--backend", "greedy", "--engine", "vectorized"]) == 0
         out = capsys.readouterr().out
-        assert "trial engine: fast (requested vectorized)" in out
+        assert "trial engine: reference (requested vectorized)" in out
+
+    @pytest.mark.parametrize("case", ["glossy", "local_belief"])
+    def test_cli_reports_new_paths_vectorized(self, case, tmp_path, capsys):
+        overrides = (
+            dict(loss=LossSpec("glossy", dict(GLOSSY)), topology=LINE)
+            if case == "glossy" else {}
+        )
+        scenario = Scenario.load(self.save_scenario(tmp_path, **overrides))
+        if case == "local_belief":
+            scenario = with_policy(scenario, "local_belief")
+        path = tmp_path / f"{case}.scenario.json"
+        scenario.save(path)
+        assert main(["scenario", "mc", str(path), "--trials", "3",
+                     "--backend", "greedy", "--engine", "vectorized"]) == 0
+        out = capsys.readouterr().out
+        assert "trial engine: vectorized" in out
+        assert "(requested" not in out
 
     def test_cli_default_engine_unchanged(self, tmp_path, capsys):
         path = self.save_scenario(tmp_path)

@@ -25,18 +25,22 @@ from repro.mc.vectorized import (
     VECTOR_SAMPLERS,
     _BernoulliVector,
     _GilbertElliottVector,
+    _GlossyVector,
     _PerfectVector,
     _ScriptedBeaconVector,
     _TraceReplayVector,
     supports_loss_kind,
 )
+from repro.net.topology import line, ring
 from repro.runtime.loss import (
     BernoulliLoss,
     GilbertElliottLoss,
+    GlossyLoss,
     ScriptedBeaconLoss,
     TraceReplayLoss,
     available_loss_kinds,
 )
+from repro.runtime.simulator import NodePolicy
 
 NODES = ("n0", "n1", "n2", "n3", "n4", "n5", "n6", "n7")
 HOST = 2
@@ -50,6 +54,7 @@ def fake_program(nodes=NODES):
     return SimpleNamespace(
         node_names=tuple(nodes),
         node_index={name: index for index, name in enumerate(nodes)},
+        policy=NodePolicy.BEACON_GATED,
     )
 
 
@@ -275,6 +280,62 @@ class TestTraceReplayVector:
         assert beacon.all() and data.all()
 
 
+class TestGlossyVector:
+    """Frontier propagation against the scalar flood simulator."""
+
+    def beacon_rates(self, topology, link_success, host, floods=3000):
+        nodes = tuple(topology.nodes)
+        timeline = fake_timeline(floods, 0)
+        sampler = _GlossyVector(GlossyLoss(topology, link_success),
+                                fake_program(nodes), timeline, host)
+        beacon, _ = sampler.sample(trial_rngs(0, 1))
+        return nodes, beacon[0].sum(axis=0)
+
+    @pytest.mark.parametrize("topology,link_success",
+                             [(line(4), 0.5), (ring(6), 0.4)],
+                             ids=["line", "ring"])
+    def test_reception_rates_match_scalar_floods(self, topology,
+                                                 link_success):
+        """Per-node reception rates of multi-hop floods: the tensor
+        sampler and :class:`GlossyLoss` must agree at every hop
+        distance (Wilson intervals at a very wide z)."""
+        floods = 3000
+        nodes, received = self.beacon_rates(topology, link_success, 0,
+                                            floods)
+        model = GlossyLoss(topology, link_success, seed=7)
+        counts = dict.fromkeys(nodes, 0)
+        for _ in range(floods):
+            for name in model.beacon_receivers(nodes[0], set(nodes)):
+                counts[name] += 1
+        for index, name in enumerate(nodes):
+            low_a, high_a = wilson_interval(int(received[index]), floods,
+                                            Z_WIDE)
+            low_b, high_b = wilson_interval(counts[name], floods, Z_WIDE)
+            assert low_a <= high_b and low_b <= high_a, name
+        # Reception decays with hop distance from the initiator.
+        hops = topology.hops_from(nodes[0])
+        far, near = max(nodes, key=hops.get), nodes[1]
+        assert received[nodes.index(far)] < received[nodes.index(near)]
+
+    def test_ideal_links_reach_everyone(self):
+        nodes, received = self.beacon_rates(ring(6), 1.0, 2, floods=50)
+        assert (received == 50).all()
+
+    def test_program_nodes_outside_topology_never_receive(self):
+        program = fake_program(("n0", "n1", "zz"))
+        timeline = fake_timeline(20, 10)
+        timeline.slot_sender = np.zeros(10, dtype=np.intp)
+        sampler = _GlossyVector(GlossyLoss(line(3), 1.0), program,
+                                timeline, 0)
+        beacon, data = sampler.sample(trial_rngs(0, 2))
+        assert beacon[:, :, :2].all() and data[:, :, :2].all()
+        assert not beacon[:, :, 2].any() and not data[:, :, 2].any()
+        foreign_host = fake_program(("n0", "zz"))
+        with pytest.raises(ValueError, match="not in topology"):
+            _GlossyVector(GlossyLoss(line(3), 0.9), foreign_host,
+                          fake_timeline(3, 0), 1)
+
+
 class TestPerfectVector:
     def test_all_receive_and_no_stream_consumed(self):
         timeline = fake_timeline(6, 12)
@@ -289,12 +350,11 @@ class TestPerfectVector:
 
 
 class TestRegistry:
-    def test_every_builtin_kind_vectorized_or_glossy(self):
-        """``glossy`` floods are topology-sequential and deliberately
-        stay scalar; every other built-in kind must have a vector
-        sampler, or campaigns silently lose the speedup."""
+    def test_every_builtin_kind_vectorizes(self):
+        """Every built-in kind must have a vector sampler, or campaigns
+        silently lose the speedup."""
         for kind in available_loss_kinds():
-            assert supports_loss_kind(kind) or kind == "glossy", (
+            assert supports_loss_kind(kind), (
                 f"built-in loss kind {kind!r} has no vectorized sampler"
             )
 

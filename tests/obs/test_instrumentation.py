@@ -73,30 +73,23 @@ class TestCampaignInstrumentation:
             unlogged.points[0].stats.to_dict()
 
     def test_engine_fallback_event_carries_reason(self, run_log):
-        # glossy loss has no vectorized sampler -> vectorized falls
-        # back to fast, and the log says why.
-        from repro.api import TopologySpec
-        from repro.core.app_model import linear_pipeline
-
-        scenario = make_scenario(
-            modes=[Mode("normal", [
-                # Stage nodes must exist in the line topology (n0, n1).
-                linear_pipeline("a", period=20, deadline=20,
-                                stages=[("n0", 1.0), ("n1", 1.0)]),
-            ])],
-            loss=LossSpec("glossy", {"link_success": 0.9, "seed": 1}),
-            topology=TopologySpec("line", {"num_nodes": 4}),
-        )
+        # A beacon host outside the deployment cannot be masked by
+        # either compiled engine -> vectorized falls back to reference,
+        # and the log says why.
+        scenario = make_scenario(simulation=SimulationSpec(
+            duration=300.0, trials=4, seed=11, host_node="base_station",
+        ))
         result = run_campaign(scenario, trials=2, engine="vectorized")
-        assert result.engines == {"obs": "fast"}
+        assert result.engines == {"obs": "reference"}
         events = [
             event for event in read_log(run_log.path)
             if event.kind == "engine.fallback"
         ]
         assert len(events) == 1
         assert events[0].data["requested"] == "vectorized"
-        assert events[0].data["used"] == "fast"
-        assert "glossy" in events[0].data["reason"]
+        assert events[0].data["used"] == "reference"
+        assert "'base_station' not in the program" in \
+            events[0].data["reason"]
 
     def test_wall_seconds_in_result_and_to_dict(self):
         result = run_campaign(make_scenario(), trials=2)
