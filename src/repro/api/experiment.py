@@ -306,8 +306,8 @@ class Experiment:
             engine: ``"fast"`` (compiled round programs, trace-free
                 accumulation, automatic fallback), ``"vectorized"``
                 (all trials of a grid point as batched tensor
-                programs — distribution-equivalent, falls back
-                ``vectorized -> fast -> reference``), or
+                programs — distribution-equivalent, automatic
+                fallback), or
                 ``"reference"`` (the object-level simulator;
                 bit-identical to ``fast``).
 

@@ -33,6 +33,7 @@ The same campaign runs from the command line::
         --trials 25 --sweep data_loss=0,0.05,0.1 -j 4
 """
 
+from ..runtime.loss import supports_loss_kind
 from .campaign import (
     CampaignResult,
     PointResult,
@@ -44,7 +45,7 @@ from .equivalence import (
     assert_distribution_equivalent,
     assert_engines_equivalent,
 )
-from .fastpath import run_program, supports_loss_kind
+from .fastpath import run_program
 from .stats import (
     CampaignStats,
     DistSummary,

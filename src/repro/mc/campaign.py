@@ -97,8 +97,8 @@ class CampaignResult:
             number of *distinct* synthesis problems, however many
             trials ran.
         engines: Trial engine actually used per scenario, after the
-            ``vectorized -> fast -> reference`` fallback ladder —
-            e.g. ``{"baseline": "vectorized"}``.
+            fallback to the reference simulator — e.g.
+            ``{"baseline": "vectorized"}``.
         wall_seconds: Wall-clock per campaign phase —
             ``{"synthesis", "simulation", "aggregation"}`` — measured
             by the obs phase spans (always populated; logging need not
@@ -311,9 +311,10 @@ def run_campaigns(
             programs — every built-in loss kind (``glossy`` floods
             included) under both node policies (``local_belief``
             included); distribution-equivalent to the other engines,
-            not bit-identical; falls back ``vectorized -> fast ->
-            reference`` for custom loss kinds, uncompilable scenarios
-            and hosts outside the deployment.  ``"reference"`` always
+            not bit-identical; like ``"fast"``, falls back to the
+            reference simulator for loss kinds that lower onto no
+            sampling primitive, uncompilable scenarios and hosts
+            outside the deployment.  ``"reference"`` always
             walks the object-level simulator.  ``fast`` and
             ``reference`` results are bit-identical;
             :attr:`CampaignResult.engines` records what actually ran.

@@ -330,9 +330,9 @@ def assert_engines_equivalent(
     engine (sharing a schedule cache, so synthesis happens once),
     asserts :func:`assert_distribution_equivalent` for every engine
     pair at every grid point, and optionally asserts which engine each
-    request actually *resolved* to after the ``vectorized -> fast ->
-    reference`` fallback ladder — the piece that catches a new loss
-    kind silently downgrading instead of vectorizing.
+    request actually *resolved* to after the fallback to the reference
+    simulator — the piece that catches a new loss kind silently
+    downgrading instead of vectorizing.
 
     Args:
         scenario: A :class:`repro.api.Scenario` with a simulation phase.
@@ -345,9 +345,9 @@ def assert_engines_equivalent(
             ``cache`` nor ``cache_dir`` is given).
         cache_dir: Persistent cache directory.
         expect: ``{requested_engine: resolved_engine}`` — assert the
-            ladder resolution, e.g. ``{"vectorized": "vectorized"}`` to
+            engine resolution, e.g. ``{"vectorized": "vectorized"}`` to
             prove a kind really vectorizes, or ``{"vectorized":
-            "fast"}`` to pin an intentional, tested downgrade.
+            "reference"}`` to pin an intentional, tested downgrade.
         z / radio_rtol / ks_c_alpha: Forwarded to
             :func:`assert_distribution_equivalent`.
         label: Failure-message prefix (e.g. the loss kind).
@@ -356,8 +356,8 @@ def assert_engines_equivalent(
         ``{engine: CampaignResult}`` for further inspection.
 
     Raises:
-        EquivalenceError: the first failing pairwise check or ladder
-            expectation.
+        EquivalenceError: the first failing pairwise check or engine
+            resolution expectation.
     """
     import tempfile
 
@@ -393,7 +393,7 @@ def assert_engines_equivalent(
             if used != resolved:
                 raise EquivalenceError(
                     f"{prefix}engine {requested!r} resolved to {used!r}, "
-                    f"expected {resolved!r} (fallback ladder moved)"
+                    f"expected {resolved!r} (engine resolution moved)"
                 )
 
     names = list(results)

@@ -13,25 +13,24 @@ floating-point sums match the reference's addition order bit for bit).
 Bit-identity is the design constraint that shapes the samplers: the
 reference loss models consume a scalar ``random.Random`` stream one
 draw per (node, flood) in sorted-node order, so the fast path cannot
-resample with numpy — instead each supported loss kind gets a
-*sampler* that consumes **the same stream in the same order** while
-writing bitmasks instead of building Python sets (`_BernoulliSampler`,
-`_GilbertElliottSampler`, ...).  ``glossy`` floods are genuinely
-topology-dependent and run through the model itself via
-`_ModelSampler`.  A loss kind without a registered sampler is reported
-unsupported and the caller falls back to the reference simulator —
-that is the extension point future loss models hit by default.
+resample with numpy — instead each sampling primitive of
+:mod:`repro.runtime.loss` gets one *sampler* that consumes **the same
+stream in the same order** while writing bitmasks instead of building
+Python sets: `_IndependentSampler` evaluates the kind's pure miss
+probabilities, `_ScriptSampler` its pure scripted events, and
+`_GilbertElliottSampler` walks the Markov chains.  ``glossy`` floods
+are genuinely topology-dependent and run through the model itself via
+`_ModelSampler`.  A loss kind that lowers onto no primitive runs on
+the reference simulator instead (see
+:func:`repro.runtime.loss.supports_loss_kind`).
 
 Equal seeds therefore give equal summaries across engines, which the
 equivalence suite (``tests/mc/test_fastpath.py``) asserts over a
 seed × policy × loss-model × mode-change matrix.
 
-This module is what ``engine="fast"`` runs.  ``engine="vectorized"``
-does not come here for any built-in loss kind or node policy:
-:mod:`repro.mc.vectorized` has tensor twins of every sampler —
-``glossy`` floods as hop-by-hop frontier propagation — and resolves
-the ``LOCAL_BELIEF`` recurrence with a belief scan over rounds.  Only a
-kind with a sampler here but none there steps down to this engine.
+This module is what ``engine="fast"`` runs; ``engine="vectorized"``
+(:mod:`repro.mc.vectorized`) implements the same primitives as tensor
+samplers and never steps down to this engine.
 """
 
 from __future__ import annotations
@@ -41,17 +40,10 @@ from typing import Callable, Dict, List, Optional, Sequence
 
 from ..runtime.compiled import SystemProgram, names_to_mask
 from ..runtime.loss import (
-    BernoulliLoss,
     GilbertElliottLoss,
-    InterferenceLoss,
     LossModel,
-    MatrixTraceLoss,
     PerfectLinks,
-    ScriptedBeaconLoss,
-    SpatialLoss,
-    TimeVaryingLoss,
-    TraceExhaustedError,
-    TraceReplayLoss,
+    loss_primitive,
 )
 from ..runtime.simulator import EPS, ModeRequest, NodePolicy
 from ..runtime.trial import TrialResult
@@ -73,56 +65,96 @@ class _PerfectSampler:
         return self._full
 
 
-class _BernoulliSampler:
-    """Bitmask twin of :class:`BernoulliLoss`.
+class _IndependentSampler:
+    """Bitmask form of the ``independent`` primitive.
 
-    Consumes ``model._rng`` exactly like ``BernoulliLoss._sample``:
-    one draw per non-``always`` node in sorted order, and **zero**
-    draws when the loss probability is ``<= 0`` (the reference
-    short-circuits before touching the stream).
+    Consumes ``model._rng`` exactly like
+    :class:`~repro.runtime.loss.IndependentLoss`: per flood, one draw
+    per receiver other than the initiator, in node-index (== sorted
+    name) order, and **zero** draws for a receiver whose miss
+    probability is ``<= 0``.  The rows of round-invariant kinds are
+    lowered once per (initiator, flood type).
     """
 
-    def __init__(self, model: BernoulliLoss, program: SystemProgram) -> None:
+    def __init__(self, model, program: SystemProgram) -> None:
+        self._model = model
         self._random = model._rng.random
-        self._beacon_loss = model.beacon_loss
-        self._data_loss = model.data_loss
-        self._full = program.full_mask
-        self._count = len(program.node_names)
-        # Per ``always`` node: the other nodes' bits in sorted order
-        # (so the draw loop needs no index comparison), built lazily —
-        # only the host and actual senders ever appear here.
-        self._orders: Dict[int, tuple] = {}
+        self._names = program.node_names
+        self._memoize = model.round_invariant
+        #: Lowered rows by initiator index: data rows, then beacon rows.
+        self._rows: tuple = ({}, {})
+        self._round = 0
 
-    def _order(self, always_index: int) -> tuple:
-        order = self._orders.get(always_index)
-        if order is None:
-            order = tuple(
-                1 << index
-                for index in range(self._count)
-                if index != always_index
-            )
-            self._orders[always_index] = order
-        return order
+    def _lower(self, round_index: int, initiator: int, beacon: bool) -> tuple:
+        """``(always-received mask, ((bit, miss), ...) drawn in order)``."""
+        names = self._names
+        always = 1 << initiator
+        drawn = []
+        misses = self._model.miss_row(round_index, names[initiator], beacon,
+                                      names)
+        for index, miss in enumerate(misses):
+            if index == initiator:
+                continue
+            if miss <= 0.0:
+                always |= 1 << index
+            else:
+                drawn.append((1 << index, miss))
+        return always, tuple(drawn)
 
-    def _sample(self, loss: float, always_index: int) -> int:
-        if loss <= 0.0:
-            return self._full
-        mask = 1 << always_index
+    def _sample(self, round_index: int, initiator: int, beacon: bool) -> int:
+        rows = self._rows[beacon]
+        row = rows.get(initiator)
+        if row is None:
+            row = self._lower(round_index, initiator, beacon)
+            if self._memoize:
+                rows[initiator] = row
+        mask, drawn = row
         random = self._random
-        for bit in self._order(always_index):
-            if random() >= loss:
+        for bit, miss in drawn:
+            if random() >= miss:
                 mask |= bit
         return mask
 
     def beacon_mask(self, host_index: int) -> int:
-        return self._sample(self._beacon_loss, host_index)
+        round_index = self._round
+        self._round += 1
+        return self._sample(round_index, host_index, True)
 
     def data_mask(self, sender_index: int) -> int:
-        return self._sample(self._data_loss, sender_index)
+        return self._sample(max(0, self._round - 1), sender_index, False)
+
+
+class _ScriptSampler:
+    """Bitmask form of the ``script`` primitive (deterministic): the
+    n-th beacon and the k-th data flood replay the kind's events."""
+
+    def __init__(self, model, program: SystemProgram) -> None:
+        self._model = model
+        self._full = program.full_mask
+        self._index = program.node_index
+        self._nodes = frozenset(program.node_names)
+        self._beacons = 0
+        self._data = 0
+
+    def _mask(self, event, initiator: int) -> int:
+        if event is None:
+            return self._full
+        return names_to_mask(event, self._index) | (1 << initiator)
+
+    def beacon_mask(self, host_index: int) -> int:
+        event = self._model.beacon_event(self._beacons, self._nodes)
+        self._beacons += 1
+        return self._mask(event, host_index)
+
+    def data_mask(self, sender_index: int) -> int:
+        event = self._model.data_event(self._data, self._nodes)
+        self._data += 1
+        return self._mask(event, sender_index)
 
 
 class _GilbertElliottSampler:
-    """Bitmask twin of :class:`GilbertElliottLoss`.
+    """Bitmask form of the ``markov`` primitive
+    (:class:`~repro.runtime.loss.GilbertElliottLoss`).
 
     The per-node Markov channels advance once per beacon, every node
     including the host, in sorted order — one ``random()`` per advance
@@ -171,257 +203,9 @@ class _GilbertElliottSampler:
         return mask
 
 
-class _ScriptedBeaconSampler:
-    """Bitmask twin of :class:`ScriptedBeaconLoss` (deterministic)."""
-
-    def __init__(
-        self, model: ScriptedBeaconLoss, program: SystemProgram
-    ) -> None:
-        self._full = program.full_mask
-        self._drops = {
-            index: _mask_of(names, program)
-            for index, names in model.drops.items()
-        }
-        self._counter = model._beacon_counter
-
-    def beacon_mask(self, host_index: int) -> int:
-        dropped = self._drops.get(self._counter, 0)
-        self._counter += 1
-        return (self._full & ~dropped) | (1 << host_index)
-
-    def data_mask(self, sender_index: int) -> int:
-        return self._full
-
-
-class _TraceReplaySampler:
-    """Bitmask twin of :class:`TraceReplayLoss` (deterministic)."""
-
-    def __init__(self, model: TraceReplayLoss, program: SystemProgram) -> None:
-        self._full = program.full_mask
-        self._beacon = [_mask_of(event, program) for event in model.beacon_events]
-        self._data = [_mask_of(event, program) for event in model.data_events]
-        self._on_end = model.on_end
-        self._beacon_cursor = model._beacon_cursor
-        self._data_cursor = model._data_cursor
-
-    def _next(self, masks: List[int], cursor: int, label: str):
-        if not masks:
-            if self._on_end == "error":
-                raise TraceExhaustedError(
-                    f"trace_replay: empty {label} trace with on_end='error'"
-                )
-            return None, cursor
-        if cursor >= len(masks):
-            if self._on_end == "perfect":
-                return None, cursor
-            if self._on_end == "error":
-                raise TraceExhaustedError(
-                    f"trace_replay: {label} trace exhausted after "
-                    f"{len(masks)} events (on_end='error'); provide a "
-                    f"longer trace or choose on_end='wrap'/'perfect'"
-                )
-            cursor = cursor % len(masks)
-        return masks[cursor], cursor + 1
-
-    def beacon_mask(self, host_index: int) -> int:
-        event, self._beacon_cursor = self._next(
-            self._beacon, self._beacon_cursor, "beacon"
-        )
-        if event is None:
-            return self._full
-        return event | (1 << host_index)
-
-    def data_mask(self, sender_index: int) -> int:
-        event, self._data_cursor = self._next(
-            self._data, self._data_cursor, "data"
-        )
-        if event is None:
-            return self._full
-        return event | (1 << sender_index)
-
-
-class _SpatialSampler:
-    """Bitmask twin of :class:`SpatialLoss`.
-
-    The PDR matrix is a construction-time constant; per flood the
-    sampler walks the source's precomputed per-receiver loss row in
-    node-index order (== sorted name order), consuming ``model._rng``
-    exactly like ``SpatialLoss._sample``: one draw per receiver whose
-    loss is ``> 0``, zero draws otherwise.
-    """
-
-    def __init__(self, model: SpatialLoss, program: SystemProgram) -> None:
-        self._random = model._rng.random
-        self._count = len(program.node_names)
-        pdr = model._pdr
-        # loss rows indexed [source][receiver] by compiled node index.
-        self._loss = [
-            [1.0 - pdr[src][dst] for dst in program.node_names]
-            for src in program.node_names
-        ]
-
-    def _sample(self, source_index: int) -> int:
-        mask = 1 << source_index
-        random = self._random
-        row = self._loss[source_index]
-        for index in range(self._count):
-            if index == source_index:
-                continue
-            loss = row[index]
-            if loss <= 0.0 or random() >= loss:
-                mask |= 1 << index
-        return mask
-
-    def beacon_mask(self, host_index: int) -> int:
-        return self._sample(host_index)
-
-    def data_mask(self, sender_index: int) -> int:
-        return self._sample(sender_index)
-
-
-class _MatrixTraceSampler:
-    """Bitmask twin of :class:`MatrixTraceLoss`.
-
-    Every trace entry is lowered once into per-source loss rows indexed
-    by compiled node index; the round cursor and the exhaustion policy
-    (``wrap``/``perfect``/``error``) mirror the model exactly —
-    including raising the model's own :class:`TraceExhaustedError`.
-    """
-
-    def __init__(self, model: MatrixTraceLoss, program: SystemProgram) -> None:
-        self._model = model
-        self._random = model._rng.random
-        self._full = program.full_mask
-        self._count = len(program.node_names)
-        self._on_end = model.on_end
-        names = program.node_names
-        self._losses = [
-            [
-                [1.0 - rows.get(src, {}).get(dst, default) for dst in names]
-                for src in names
-            ]
-            for rows, default in model._entries
-        ]
-        self._beacon_count = model._beacon_count
-
-    def _rows_for_round(self, round_index: int):
-        count = len(self._losses)
-        if round_index < count:
-            return self._losses[round_index]
-        if self._on_end == "wrap":
-            return self._losses[round_index % count]
-        if self._on_end == "error":
-            self._model.matrix_for_round(round_index)  # raises
-        return None
-
-    def _sample(self, source_index: int, round_index: int) -> int:
-        rows = self._rows_for_round(round_index)
-        if rows is None:
-            return self._full
-        mask = 1 << source_index
-        random = self._random
-        row = rows[source_index]
-        for index in range(self._count):
-            if index == source_index:
-                continue
-            loss = row[index]
-            if loss <= 0.0 or random() >= loss:
-                mask |= 1 << index
-        return mask
-
-    def beacon_mask(self, host_index: int) -> int:
-        round_index = self._beacon_count
-        self._beacon_count += 1
-        return self._sample(host_index, round_index)
-
-    def data_mask(self, sender_index: int) -> int:
-        return self._sample(sender_index, max(0, self._beacon_count - 1))
-
-
-class _TimeVaryingSampler:
-    """Bitmask twin of :class:`TimeVaryingLoss`.
-
-    Keeps its own round counter and calls the model's pure
-    ``loss_at`` so the float math — and therefore the draw-skip
-    decision at ``loss <= 0`` — is identical to the reference.
-    """
-
-    def __init__(self, model: TimeVaryingLoss, program: SystemProgram) -> None:
-        self._model = model
-        self._random = model._rng.random
-        self._count = len(program.node_names)
-        self._round = model._round
-
-    def _sample(self, loss: float, always_index: int) -> int:
-        mask = 1 << always_index
-        random = self._random
-        for index in range(self._count):
-            if index == always_index:
-                continue
-            if loss <= 0.0 or random() >= loss:
-                mask |= 1 << index
-        return mask
-
-    def beacon_mask(self, host_index: int) -> int:
-        round_index = self._round
-        self._round += 1
-        loss = self._model.loss_at(round_index, self._model.beacon_loss)
-        return self._sample(loss, host_index)
-
-    def data_mask(self, sender_index: int) -> int:
-        round_index = max(0, self._round - 1)
-        loss = self._model.loss_at(round_index, self._model.data_loss)
-        return self._sample(loss, sender_index)
-
-
-class _InterferenceSampler:
-    """Bitmask twin of :class:`InterferenceLoss`.
-
-    The jammer's duty-cycle state comes from the model's pure
-    ``jammed``; the per-node affected set is precomputed as a flag per
-    compiled node index.  Draw consumption mirrors the reference: one
-    draw per non-``always`` node whose effective loss is ``> 0``.
-    """
-
-    def __init__(self, model: InterferenceLoss, program: SystemProgram) -> None:
-        self._model = model
-        self._random = model._rng.random
-        self._count = len(program.node_names)
-        self._jam_loss = model.jam_loss
-        self._base_beacon = model.base_beacon_loss
-        self._base_data = model.base_data_loss
-        self._affected = [
-            model.affected is None or name in model.affected
-            for name in program.node_names
-        ]
-        self._round = model._round
-
-    def _sample(self, round_index: int, base: float, always_index: int) -> int:
-        mask = 1 << always_index
-        random = self._random
-        jammed = self._model.jammed(round_index)
-        affected = self._affected
-        jam_loss = self._jam_loss
-        for index in range(self._count):
-            if index == always_index:
-                continue
-            loss = jam_loss if jammed and affected[index] else base
-            if loss <= 0.0 or random() >= loss:
-                mask |= 1 << index
-        return mask
-
-    def beacon_mask(self, host_index: int) -> int:
-        round_index = self._round
-        self._round += 1
-        return self._sample(round_index, self._base_beacon, host_index)
-
-    def data_mask(self, sender_index: int) -> int:
-        round_index = max(0, self._round - 1)
-        return self._sample(round_index, self._base_data, sender_index)
-
-
 class _ModelSampler:
-    """Generic adapter: drive the loss model itself, convert to masks.
+    """The ``flood`` primitive: drive the loss model itself, convert
+    its receiver sets to masks.
 
     Used for flood-accurate kinds (``glossy``) whose realization
     depends on the topology — the model's own RNG stream is consumed
@@ -449,50 +233,31 @@ class _ModelSampler:
         return names_to_mask(received, self._index)
 
 
-def _mask_of(names, program: SystemProgram) -> int:
-    return names_to_mask(names, program.node_index)
-
-
-def _perfect_builder(model, program):
-    return _PerfectSampler(model, program)
-
-
-#: loss kind -> sampler builder.  ``None`` (no loss) maps to perfect.
-#: A kind absent here is *unsupported*: :func:`supports_loss_kind`
-#: returns False and the trial entry point falls back to the
-#: reference simulator.
-SAMPLER_BUILDERS: Dict[Optional[str], Callable] = {
-    None: _perfect_builder,
-    "perfect": _perfect_builder,
-    "bernoulli": _BernoulliSampler,
-    "gilbert_elliott": _GilbertElliottSampler,
-    "scripted_beacon": _ScriptedBeaconSampler,
-    "trace_replay": _TraceReplaySampler,
-    "glossy": _ModelSampler,
-    "spatial": _SpatialSampler,
-    "matrix_trace": _MatrixTraceSampler,
-    "time_varying": _TimeVaryingSampler,
-    "interference": _InterferenceSampler,
+#: sampling primitive -> sampler builder (see
+#: :data:`repro.runtime.loss.PRIMITIVES`).
+SAMPLER_BUILDERS: Dict[str, Callable] = {
+    "perfect": _PerfectSampler,
+    "independent": _IndependentSampler,
+    "script": _ScriptSampler,
+    "markov": _GilbertElliottSampler,
+    "flood": _ModelSampler,
 }
-
-
-def supports_loss_kind(kind: Optional[str]) -> bool:
-    """Whether the fast path has a sampler for this loss kind."""
-    return kind in SAMPLER_BUILDERS
 
 
 def build_sampler(
     kind: Optional[str], model: Optional[LossModel], program: SystemProgram
 ):
-    """Build the bitmask sampler for a freshly built loss model.
+    """Build the bitmask sampler for a freshly built loss model of
+    ``kind`` (``None``: no loss model, perfect links).
 
     Raises:
-        KeyError: unknown kind — callers check
-            :func:`supports_loss_kind` first and fall back.
+        KeyError: the kind lowers onto no primitive — callers check
+            :func:`~repro.runtime.loss.supports_loss_kind` first and
+            fall back.
     """
     if model is None:
         model = PerfectLinks()
-    return SAMPLER_BUILDERS[kind](model, program)
+    return SAMPLER_BUILDERS[loss_primitive(kind)](model, program)
 
 
 # -- the executor ------------------------------------------------------------

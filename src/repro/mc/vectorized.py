@@ -23,8 +23,13 @@ into three array-programming stages:
    nodes]`` boolean arrays, drawn per trial from that trial's own
    ``numpy.random.default_rng(seed)`` in a fixed intra-trial order
    (so results are independent of how trials are batched across pool
-   workers).  ``glossy`` floods propagate hop by hop over the whole
-   topology, every flood of every trial at once.
+   workers).  There is one tensor sampler per sampling primitive of
+   :mod:`repro.runtime.loss`, not per loss kind: the ``independent``
+   kinds lower into per-round and per-slot miss-probability arrays,
+   the ``script`` kinds into one shared realization, the ``markov``
+   chain runs as one scan over rounds, and ``glossy`` floods propagate
+   hop by hop over the whole topology, every flood of every trial at
+   once.
 3. :func:`accumulate_trials` — pure array reductions: which slots
    deliver is one :func:`slot_delivery` decision (a gather under
    beacon gating, a round-by-round belief scan under ``LOCAL_BELIEF``),
@@ -48,11 +53,11 @@ Within one seed the engine is fully deterministic: equal seeds give
 byte-identical :class:`~repro.runtime.trial.TrialResult`\\ s across
 repeated runs, ``jobs`` settings, and trial-batch splits.
 
-Every built-in loss kind and both node policies vectorize.  What is
-left falls back along ``vectorized -> fast -> reference`` (see
-:func:`repro.runtime.trial.trial_engine`): loss kinds without a vector
-sampler (custom registrations), scenarios the compiler rejects, and
-beacon hosts outside the deployment.
+Every loss kind that lowers onto a primitive and both node policies
+vectorize.  What is left falls back to ``reference`` (see
+:func:`repro.runtime.trial.trial_engine`): loss kinds that lower onto
+no primitive (custom registrations), scenarios the compiler rejects,
+and beacon hosts outside the deployment.
 """
 
 from __future__ import annotations
@@ -63,21 +68,14 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..runtime.compiled import SystemProgram, names_to_mask
+from ..runtime.compiled import SystemProgram
 from ..runtime.loss import (
-    BernoulliLoss,
     GilbertElliottLoss,
     GlossyLoss,
-    InterferenceLoss,
     LossModel,
-    MatrixTraceLoss,
     PerfectLinks,
-    ScriptedBeaconLoss,
-    SpatialLoss,
-    TimeVaryingLoss,
-    TraceExhaustedError,
-    TraceReplayLoss,
     build_loss,
+    loss_primitive,
 )
 from ..runtime.simulator import EPS, ModeRequest, NodePolicy
 from ..runtime.trial import TrialResult
@@ -88,8 +86,8 @@ class VectorizeError(Exception):
 
     Like :class:`~repro.runtime.compiled.CompileError`, raising this is
     not an error condition for campaign callers: the trial entry point
-    gates on :func:`repro.runtime.trial.trial_engine` and falls back
-    down the ``vectorized -> fast -> reference`` ladder instead.
+    gates on :func:`repro.runtime.trial.trial_engine` and falls back to
+    the reference simulator instead.
     """
 
 
@@ -552,11 +550,12 @@ def slot_delivery(
 # bitmask tensor: sample(rngs) -> (beacon, data) with beacon of shape
 # (trials, rounds, nodes) and data of shape (trials, slots, nodes),
 # both boolean.  The beacon host bit and the data sender bit are always
-# set, mirroring the reference models' ``always`` node.  Each trial
-# consumes only its own generator, in a fixed intra-trial draw order —
-# the property that makes results invariant to trial batching.
-# Deterministic kinds return broadcast views (one realization, shared
-# by every trial, at no memory cost).
+# set, mirroring the reference models' initiator.  Each trial consumes
+# only its own generator, in a fixed intra-trial draw order — the
+# property that makes results invariant to trial batching.
+# Deterministic primitives return broadcast views (one realization,
+# shared by every trial, at no memory cost).  There is one sampler per
+# primitive of :mod:`repro.runtime.loss`.
 
 
 class _PerfectVector:
@@ -573,27 +572,51 @@ class _PerfectVector:
         return beacon, data
 
 
-class _BernoulliVector:
-    """Tensor twin of :class:`BernoulliLoss`: i.i.d. uniform draws.
+class _IndependentVector:
+    """Tensor form of the ``independent`` primitive: uniform draws
+    against the kind's miss probabilities.
 
-    Intra-trial draw order: beacon uniforms ``(R, N)`` first, then
-    data uniforms ``(S, N)``.  A loss probability of 0 keeps the
+    The kind's pure ``miss_row`` is lowered once into a ``(R, N)``
+    beacon array (the host's row of every round) and an ``(S, N)`` data
+    array (the sender's row of every slot, in the slot's round); rows
+    of round-invariant kinds are computed once per (initiator, flood
+    type).  Intra-trial draw order: beacon uniforms ``(R, N)`` first,
+    then data uniforms ``(S, N)``.  A miss probability of 0 keeps the
     comparison (``u >= 0`` is always true) — same distribution as the
     reference's draw-skipping short-circuit.
     """
 
     def __init__(
         self,
-        model: BernoulliLoss,
+        model,
         program: SystemProgram,
         timeline: Timeline,
         host_index: int,
     ) -> None:
-        self._beacon_loss = model.beacon_loss
-        self._data_loss = model.data_loss
+        names = program.node_names
+        nodes = len(names)
+        rows: Dict[tuple, List[float]] = {}
+
+        def row(round_index: int, initiator: int, beacon: bool):
+            key = (0 if model.round_invariant else round_index,
+                   initiator, beacon)
+            if key not in rows:
+                rows[key] = model.miss_row(round_index, names[initiator],
+                                           beacon, names)
+            return rows[key]
+
+        self._beacon_loss = np.array(
+            [row(r, host_index, True) for r in range(timeline.num_rounds)],
+            dtype=np.float64,
+        ).reshape(timeline.num_rounds, nodes)
+        self._data_loss = np.array(
+            [row(int(r), int(sender), False) for r, sender in
+             zip(timeline.slot_round, timeline.slot_sender)],
+            dtype=np.float64,
+        ).reshape(timeline.num_slots, nodes)
         self._rounds = timeline.num_rounds
         self._slots = timeline.num_slots
-        self._nodes = len(program.node_names)
+        self._nodes = nodes
         self._host = host_index
         self._senders = timeline.slot_sender
 
@@ -612,7 +635,8 @@ class _BernoulliVector:
 
 
 class _GilbertElliottVector:
-    """Tensor twin of :class:`GilbertElliottLoss`.
+    """Tensor form of the ``markov`` primitive
+    (:class:`~repro.runtime.loss.GilbertElliottLoss`).
 
     Per trial the draw order is: channel-advance uniforms ``(R, N)``,
     beacon-loss uniforms ``(R, N)``, data-loss uniforms ``(S, N)``.
@@ -670,119 +694,55 @@ class _GilbertElliottVector:
         return beacon, data
 
 
-class _ScriptedBeaconVector:
-    """Tensor twin of :class:`ScriptedBeaconLoss` (deterministic).
+class _ScriptVector:
+    """Tensor form of the ``script`` primitive (deterministic).
 
-    Beacon ``n`` (0-based over the run) is missed by exactly
-    ``drops[n]``; data floods are lossless.  One realization is shared
-    by every trial as a broadcast view.
-    """
-
-    def __init__(
-        self,
-        model: ScriptedBeaconLoss,
-        program: SystemProgram,
-        timeline: Timeline,
-        host_index: int,
-    ) -> None:
-        beacon = np.ones((timeline.num_rounds, len(program.node_names)), bool)
-        for counter, names in model.drops.items():
-            if 0 <= counter < timeline.num_rounds:
-                mask = names_to_mask(names, program.node_index)
-                while mask:
-                    low = mask & -mask
-                    beacon[counter, low.bit_length() - 1] = False
-                    mask ^= low
-        beacon[:, host_index] = True
-        self._beacon = beacon
-        self._shape_d = (timeline.num_slots, len(program.node_names))
-
-    def sample(self, rngs: Sequence[np.random.Generator]):
-        trials = len(rngs)
-        beacon = np.broadcast_to(self._beacon, (trials,) + self._beacon.shape)
-        data = np.broadcast_to(True, (trials,) + self._shape_d)
-        return beacon, data
-
-
-class _TraceReplayVector:
-    """Tensor twin of :class:`TraceReplayLoss` (deterministic).
-
-    The beacon cursor advances once per round; the data cursor advances
+    The beacon count advances once per round; the data count advances
     only for *delivering* slots — and with a deterministic beacon
     sequence, which slots deliver (:func:`slot_delivery`, under either
-    policy) is itself deterministic, so the whole cursor walk happens
-    here, once.  Non-delivering slots never read their data row (the
-    accumulator masks them out) and are filled permissively.
+    policy) is itself deterministic, so the whole walk over the kind's
+    events happens here, once, and one realization is shared by every
+    trial as a broadcast view.  Non-delivering slots never read their
+    data row (the accumulator masks them out) and are filled
+    permissively.  An exhausted trace under ``on_end="error"`` raises
+    the model's own :class:`~repro.runtime.loss.TraceExhaustedError` —
+    deliberately *not* a :class:`VectorizeError`, so the strict policy
+    fails identically on every engine.
     """
 
     def __init__(
         self,
-        model: TraceReplayLoss,
+        model,
         program: SystemProgram,
         timeline: Timeline,
         host_index: int,
     ) -> None:
-        nodes = len(program.node_names)
+        names = program.node_names
+        universe = frozenset(names)
 
-        def rows_of(events):
-            rows = []
-            for event in events:
-                row = np.zeros(nodes, dtype=bool)
-                mask = names_to_mask(event, program.node_index)
-                while mask:
-                    low = mask & -mask
-                    row[low.bit_length() - 1] = True
-                    mask ^= low
-                rows.append(row)
-            return rows
+        def receives(event, initiator: int):
+            """The event's reception row; ``True`` for all nodes."""
+            if event is None:
+                return True
+            row = np.zeros(len(names), dtype=bool)
+            for name in event:
+                index = program.node_index.get(name)
+                if index is not None:
+                    row[index] = True
+            row[initiator] = True
+            return row
 
-        beacon_rows = rows_of(model.beacon_events)
-        data_rows = rows_of(model.data_events)
-        on_end = model.on_end
-
-        def walk(rows, cursor, label):
-            # TraceReplayLoss._next: past the end, wrap around (cursor
-            # modulo length), fall open to perfect reception, or raise
-            # the model's own TraceExhaustedError — deliberately *not*
-            # a VectorizeError, so the strict exhaustion policy fails
-            # identically on every engine instead of silently
-            # downgrading along the fallback ladder.
-            if not rows:
-                if on_end == "error":
-                    raise TraceExhaustedError(
-                        f"trace_replay: empty {label} trace with "
-                        f"on_end='error'"
-                    )
-                return None, cursor
-            if cursor >= len(rows):
-                if on_end == "perfect":
-                    return None, cursor
-                if on_end == "error":
-                    raise TraceExhaustedError(
-                        f"trace_replay: {label} trace exhausted after "
-                        f"{len(rows)} events (on_end='error'); provide a "
-                        f"longer trace or choose on_end='wrap'/'perfect'"
-                    )
-                cursor = cursor % len(rows)
-            return rows[cursor], cursor + 1
-
-        beacon = np.empty((timeline.num_rounds, nodes), dtype=bool)
-        cursor = 0
+        beacon = np.empty((timeline.num_rounds, len(names)), dtype=bool)
         for r in range(timeline.num_rounds):
-            row, cursor = walk(beacon_rows, cursor, "beacon")
-            beacon[r] = True if row is None else row
-        beacon[:, host_index] = True
+            beacon[r] = receives(model.beacon_event(r, universe), host_index)
 
         delivering = slot_delivery(
             program, timeline, beacon[None]
         ).delivering[0]
-        data = np.ones((timeline.num_slots, nodes), dtype=bool)
-        cursor = 0
-        for slot in np.flatnonzero(delivering):
-            row, cursor = walk(data_rows, cursor, "data")
-            if row is not None:
-                data[slot] = row
-                data[slot, timeline.slot_sender[slot]] = True
+        data = np.ones((timeline.num_slots, len(names)), dtype=bool)
+        for index, slot in enumerate(np.flatnonzero(delivering)):
+            data[slot] = receives(model.data_event(index, universe),
+                                  int(timeline.slot_sender[slot]))
 
         self._beacon = beacon
         self._data = data
@@ -794,219 +754,10 @@ class _TraceReplayVector:
         return beacon, data
 
 
-class _SpatialVector:
-    """Tensor twin of :class:`SpatialLoss`.
-
-    The PDR matrix is a construction-time constant shared by every
-    trial; per trial the draw order is beacon uniforms ``(R, N)`` then
-    data uniforms ``(S, N)``, compared against the host's loss row
-    (beacons) and each slot sender's loss row (data).
-    """
-
-    def __init__(
-        self,
-        model: SpatialLoss,
-        program: SystemProgram,
-        timeline: Timeline,
-        host_index: int,
-    ) -> None:
-        names = program.node_names
-        pdr = model._pdr
-        loss = np.array(
-            [[1.0 - pdr[src][dst] for dst in names] for src in names],
-            dtype=np.float64,
-        )
-        self._beacon_loss = loss[host_index]  # (N,)
-        self._data_loss = loss[timeline.slot_sender]  # (S, N)
-        self._rounds = timeline.num_rounds
-        self._slots = timeline.num_slots
-        self._nodes = len(names)
-        self._host = host_index
-        self._senders = timeline.slot_sender
-
-    def sample(self, rngs: Sequence[np.random.Generator]):
-        trials = len(rngs)
-        beacon = np.empty((trials, self._rounds, self._nodes), dtype=bool)
-        data = np.empty((trials, self._slots, self._nodes), dtype=bool)
-        for t, rng in enumerate(rngs):
-            beacon[t] = (
-                rng.random((self._rounds, self._nodes))
-                >= self._beacon_loss[None, :]
-            )
-            data[t] = rng.random((self._slots, self._nodes)) >= self._data_loss
-        beacon[:, :, self._host] = True
-        data[:, np.arange(self._slots), self._senders] = True
-        return beacon, data
-
-
-class _MatrixTraceVector:
-    """Tensor twin of :class:`MatrixTraceLoss`.
-
-    The round cursor is deterministic (one advance per beacon), so the
-    whole wrap/perfect/error walk happens at construction, producing
-    per-round beacon loss rows ``(R, N)`` and per-slot data loss rows
-    ``(S, N)``.  ``on_end="error"`` raises the model's own
-    :class:`TraceExhaustedError` — deliberately *not* a
-    :class:`VectorizeError`, so the strict policy fails identically on
-    every engine instead of silently downgrading along the ladder.
-    """
-
-    def __init__(
-        self,
-        model: MatrixTraceLoss,
-        program: SystemProgram,
-        timeline: Timeline,
-        host_index: int,
-    ) -> None:
-        names = program.node_names
-        node_count = len(names)
-
-        def loss_row(round_index: int, source: str) -> np.ndarray:
-            entry = model.matrix_for_round(round_index)  # raises on error
-            if entry is None:
-                return np.zeros(node_count, dtype=np.float64)
-            rows, default = entry
-            row = rows.get(source, {})
-            return np.array(
-                [1.0 - row.get(dst, default) for dst in names],
-                dtype=np.float64,
-            )
-
-        host_name = names[host_index]
-        self._beacon_loss = np.stack([
-            loss_row(r, host_name) for r in range(timeline.num_rounds)
-        ]) if timeline.num_rounds else np.zeros((0, node_count))
-        self._data_loss = np.stack([
-            loss_row(int(timeline.slot_round[s]),
-                     names[int(timeline.slot_sender[s])])
-            for s in range(timeline.num_slots)
-        ]) if timeline.num_slots else np.zeros((0, node_count))
-        self._rounds = timeline.num_rounds
-        self._slots = timeline.num_slots
-        self._nodes = node_count
-        self._host = host_index
-        self._senders = timeline.slot_sender
-
-    def sample(self, rngs: Sequence[np.random.Generator]):
-        trials = len(rngs)
-        beacon = np.empty((trials, self._rounds, self._nodes), dtype=bool)
-        data = np.empty((trials, self._slots, self._nodes), dtype=bool)
-        for t, rng in enumerate(rngs):
-            beacon[t] = (
-                rng.random((self._rounds, self._nodes)) >= self._beacon_loss
-            )
-            data[t] = rng.random((self._slots, self._nodes)) >= self._data_loss
-        beacon[:, :, self._host] = True
-        data[:, np.arange(self._slots), self._senders] = True
-        return beacon, data
-
-
-class _TimeVaryingVector:
-    """Tensor twin of :class:`TimeVaryingLoss`.
-
-    The per-round modulation factor is deterministic; the model's pure
-    ``loss_at`` computes every round's effective loss once (identical
-    float math to the scalar engines), leaving per-trial work as plain
-    uniform comparisons.
-    """
-
-    def __init__(
-        self,
-        model: TimeVaryingLoss,
-        program: SystemProgram,
-        timeline: Timeline,
-        host_index: int,
-    ) -> None:
-        self._beacon_loss = np.array(
-            [model.loss_at(r, model.beacon_loss)
-             for r in range(timeline.num_rounds)],
-            dtype=np.float64,
-        )
-        data_loss_per_round = [
-            model.loss_at(r, model.data_loss)
-            for r in range(timeline.num_rounds)
-        ]
-        self._data_loss = np.array(
-            [data_loss_per_round[int(r)] for r in timeline.slot_round],
-            dtype=np.float64,
-        )
-        self._rounds = timeline.num_rounds
-        self._slots = timeline.num_slots
-        self._nodes = len(program.node_names)
-        self._host = host_index
-        self._senders = timeline.slot_sender
-
-    def sample(self, rngs: Sequence[np.random.Generator]):
-        trials = len(rngs)
-        beacon = np.empty((trials, self._rounds, self._nodes), dtype=bool)
-        data = np.empty((trials, self._slots, self._nodes), dtype=bool)
-        for t, rng in enumerate(rngs):
-            beacon[t] = (
-                rng.random((self._rounds, self._nodes))
-                >= self._beacon_loss[:, None]
-            )
-            data[t] = (
-                rng.random((self._slots, self._nodes))
-                >= self._data_loss[:, None]
-            )
-        beacon[:, :, self._host] = True
-        data[:, np.arange(self._slots), self._senders] = True
-        return beacon, data
-
-
-class _InterferenceVector:
-    """Tensor twin of :class:`InterferenceLoss`.
-
-    The jammer's duty cycle is deterministic: the model's pure
-    ``jammed`` yields a per-round indicator, outer-combined with the
-    affected-node mask into per-round, per-node loss matrices computed
-    once at construction.
-    """
-
-    def __init__(
-        self,
-        model: InterferenceLoss,
-        program: SystemProgram,
-        timeline: Timeline,
-        host_index: int,
-    ) -> None:
-        names = program.node_names
-        jammed = np.array(
-            [model.jammed(r) for r in range(timeline.num_rounds)], dtype=bool
-        )
-        affected = np.array(
-            [model.affected is None or name in model.affected
-             for name in names],
-            dtype=bool,
-        )
-        hit = jammed[:, None] & affected[None, :]  # (R, N)
-        self._beacon_loss = np.where(
-            hit, model.jam_loss, model.base_beacon_loss
-        )
-        data_loss_rounds = np.where(hit, model.jam_loss, model.base_data_loss)
-        self._data_loss = data_loss_rounds[timeline.slot_round]  # (S, N)
-        self._rounds = timeline.num_rounds
-        self._slots = timeline.num_slots
-        self._nodes = len(names)
-        self._host = host_index
-        self._senders = timeline.slot_sender
-
-    def sample(self, rngs: Sequence[np.random.Generator]):
-        trials = len(rngs)
-        beacon = np.empty((trials, self._rounds, self._nodes), dtype=bool)
-        data = np.empty((trials, self._slots, self._nodes), dtype=bool)
-        for t, rng in enumerate(rngs):
-            beacon[t] = (
-                rng.random((self._rounds, self._nodes)) >= self._beacon_loss
-            )
-            data[t] = rng.random((self._slots, self._nodes)) >= self._data_loss
-        beacon[:, :, self._host] = True
-        data[:, np.arange(self._slots), self._senders] = True
-        return beacon, data
-
-
 class _GlossyVector:
-    """Tensor twin of :class:`GlossyLoss`: hop-by-hop frontier propagation.
+    """Tensor form of the ``flood`` primitive
+    (:class:`~repro.runtime.loss.GlossyLoss`): hop-by-hop frontier
+    propagation.
 
     Every beacon and every data slot is one Glossy flood over the whole
     topology, relays included.  Per trial the draw is one uniform
@@ -1113,32 +864,15 @@ class _GlossyVector:
         return beacon, data
 
 
-def _perfect_builder(model, program, timeline, host_index):
-    return _PerfectVector(model, program, timeline, host_index)
-
-
-#: loss kind -> vector sampler builder.  ``None`` (no loss) maps to
-#: perfect.  A kind absent here is *unsupported*:
-#: :func:`supports_loss_kind` returns False and the trial entry point
-#: falls back down the ladder.  Every built-in kind is registered.
-VECTOR_SAMPLERS: Dict[Optional[str], Callable] = {
-    None: _perfect_builder,
-    "perfect": _perfect_builder,
-    "bernoulli": _BernoulliVector,
-    "gilbert_elliott": _GilbertElliottVector,
-    "scripted_beacon": _ScriptedBeaconVector,
-    "trace_replay": _TraceReplayVector,
-    "glossy": _GlossyVector,
-    "spatial": _SpatialVector,
-    "matrix_trace": _MatrixTraceVector,
-    "time_varying": _TimeVaryingVector,
-    "interference": _InterferenceVector,
+#: sampling primitive -> vector sampler builder (see
+#: :data:`repro.runtime.loss.PRIMITIVES`).
+VECTOR_SAMPLERS: Dict[str, Callable] = {
+    "perfect": _PerfectVector,
+    "independent": _IndependentVector,
+    "script": _ScriptVector,
+    "markov": _GilbertElliottVector,
+    "flood": _GlossyVector,
 }
-
-
-def supports_loss_kind(kind: Optional[str]) -> bool:
-    """Whether the vectorized kernel has a sampler for this loss kind."""
-    return kind in VECTOR_SAMPLERS
 
 
 # -- accumulation and the executor -------------------------------------------
@@ -1281,9 +1015,11 @@ def run_trials_vectorized(
             callers normally gate on
             :func:`repro.runtime.trial.trial_engine` first.
     """
-    if not supports_loss_kind(loss_kind):
+    primitive = loss_primitive(loss_kind)
+    if primitive is None:
         raise VectorizeError(
-            f"no vectorized sampler for loss kind {loss_kind!r}"
+            f"no vectorized sampler for loss kind {loss_kind!r}: it "
+            f"lowers onto no sampling primitive"
         )
     program = context.compiled()
     if program is None:
@@ -1298,15 +1034,15 @@ def run_trials_vectorized(
         )
     timeline = context.timeline()
 
-    # Build the model once for validation and for the deterministic
-    # kinds' scripts/events; the stochastic kinds only contribute their
-    # parameters (their scalar RNG is never consumed here).
+    # Build the model once for validation and for its pure description
+    # (miss probabilities, scripted events, chain parameters); its
+    # scalar RNG is never consumed here.
     model: LossModel = (
         build_loss(loss_kind, loss_params, context.topology)
         if loss_kind is not None
         else PerfectLinks()
     )
-    sampler = VECTOR_SAMPLERS[loss_kind](model, program, timeline, host_index)
+    sampler = VECTOR_SAMPLERS[primitive](model, program, timeline, host_index)
 
     results: List[TrialResult] = []
     chunk = _chunk_size(program, timeline, sampler)

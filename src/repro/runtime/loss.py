@@ -33,6 +33,30 @@ kind               behaviour
                    (:class:`InterferenceLoss`)
 =================  =============================================================
 
+Sampling primitives
+-------------------
+
+Every kind is defined once, here, as a description on one of four draw
+primitives (its class attribute ``primitive``); the reference models
+below, the ``fast`` bitmask samplers (:mod:`repro.mc.fastpath`) and the
+``vectorized`` tensor samplers (:mod:`repro.mc.vectorized`) each
+implement the primitives, not the kinds:
+
+* ``independent`` (:class:`IndependentLoss`) — every receiver of a
+  flood misses it independently; the kind gives the per-receiver miss
+  probabilities from the round index, the initiator and the flood type
+  (:meth:`IndependentLoss.miss_row`).  ``bernoulli``, ``spatial``,
+  ``matrix_trace``, ``time_varying``, ``interference``.
+* ``script`` (:class:`ScriptLoss`) — deterministic: the kind gives the
+  n-th beacon event and the k-th data event (a receiver set, or ``None``
+  for all nodes).  ``scripted_beacon``, ``trace_replay``.
+* ``markov`` — the per-node two-state chain of ``gilbert_elliott``.
+* ``flood`` — the simulated Glossy flood of ``glossy``.
+
+``perfect`` draws nothing.  :func:`supports_loss_kind` tells whether a
+kind lowers onto a primitive; a kind that does not (a custom model
+without the attribute) runs on the reference simulator only.
+
 Seeding and determinism
 -----------------------
 
@@ -50,9 +74,12 @@ those two values alone.
 
 from __future__ import annotations
 
+import inspect
 import json
 import math
-from typing import Dict, Iterable, List, Optional, Protocol, Sequence, Set
+from typing import (
+    AbstractSet, Dict, Iterable, List, Optional, Protocol, Sequence, Set,
+)
 
 from ..core.rng import SeedLike, make_rng
 from ..net.glossy import GlossySimulator
@@ -82,6 +109,32 @@ def _validate_on_end(on_end: str) -> str:
     return on_end
 
 
+def _replay_position(index: int, count: int, on_end: str, kind: str,
+                     label: str) -> Optional[int]:
+    """Where the ``index``-th request falls in a recorded sequence of
+    ``count`` entries — the exhaustion rule of every replayed trace.
+
+    Past the end (or on an empty trace) ``on_end`` decides: ``"wrap"``
+    restarts from the beginning, ``"perfect"`` returns ``None`` (the
+    flood is lossless), ``"error"`` raises :class:`TraceExhaustedError`.
+    """
+    if index < count:
+        return index
+    if on_end == "error":
+        if not count:
+            raise TraceExhaustedError(
+                f"{kind}: empty {label} trace with on_end='error'"
+            )
+        raise TraceExhaustedError(
+            f"{kind}: {label} trace exhausted after {count} entries "
+            f"(entry {index} requested, on_end='error'); provide a longer "
+            f"trace or choose on_end='wrap'/'perfect'"
+        )
+    if on_end == "wrap" and count:
+        return index % count
+    return None
+
+
 class LossModel(Protocol):
     """Decides which nodes receive a given flood."""
 
@@ -99,6 +152,8 @@ class LossModel(Protocol):
 class PerfectLinks:
     """No loss at all — every flood reaches every node."""
 
+    primitive = "perfect"
+
     def beacon_receivers(self, host: str, nodes: Set[str]) -> Set[str]:
         return set(nodes)
 
@@ -108,7 +163,107 @@ class PerfectLinks:
         return set(nodes)
 
 
-class BernoulliLoss:
+class IndependentLoss:
+    """The ``independent`` primitive: per-receiver independent misses.
+
+    A kind implements one pure method, :meth:`miss_row`.  This base
+    holds the rest, which every engine mirrors: a beacon opens the next
+    round and data floods belong to the round of the latest beacon;
+    receivers are visited in sorted name order, one draw from the
+    model's ``random.Random`` stream each; the initiator receives its
+    own flood (when it is among ``nodes``) without a draw; and no draw
+    is made for a receiver whose miss probability is ``<= 0``.
+    """
+
+    primitive = "independent"
+    #: Whether :meth:`miss_row` ignores the round index, so an engine
+    #: may compute each (initiator, flood type) row once.
+    round_invariant = False
+
+    def __init__(self, seed: SeedLike) -> None:
+        self._rng = make_rng(seed)
+        self._round = 0
+
+    def miss_row(self, round_index: int, initiator: str, beacon: bool,
+                 receivers: Sequence[str]) -> List[float]:
+        """Miss probability of each of ``receivers`` for the flood that
+        ``initiator`` starts in round ``round_index`` (a beacon when
+        ``beacon``, else data).  Pure: no state, no draws."""
+        raise NotImplementedError
+
+    def _sample(self, round_index: int, initiator: str, nodes: Set[str],
+                beacon: bool) -> Set[str]:
+        received = {initiator} if initiator in nodes else set()
+        receivers = sorted(nodes)
+        random = self._rng.random
+        row = self.miss_row(round_index, initiator, beacon, receivers)
+        for node, loss in zip(receivers, row):
+            if node == initiator:
+                continue
+            if loss <= 0.0 or random() >= loss:
+                received.add(node)
+        return received
+
+    def beacon_receivers(self, host: str, nodes: Set[str]) -> Set[str]:
+        round_index = self._round
+        self._round += 1
+        return self._sample(round_index, host, nodes, beacon=True)
+
+    def data_receivers(
+        self, sender: str, nodes: Set[str], payload_bytes: int
+    ) -> Set[str]:
+        return self._sample(max(0, self._round - 1), sender, nodes,
+                            beacon=False)
+
+
+class ScriptLoss:
+    """The ``script`` primitive: deterministic, scripted receiver sets.
+
+    A kind implements two pure methods: :meth:`beacon_event` gives the
+    receivers of the n-th beacon flood (0-based, counted across the
+    run) and :meth:`data_event` those of the k-th data flood, each
+    either a set of node names or ``None`` for all nodes.  The
+    initiator of a flood always receives it, except under ``None``,
+    where exactly ``nodes`` do.
+    """
+
+    primitive = "script"
+
+    def __init__(self) -> None:
+        self._beacons = 0
+        self._data = 0
+
+    def beacon_event(self, index: int,
+                     nodes: AbstractSet[str]) -> Optional[AbstractSet[str]]:
+        """Receivers of beacon flood ``index`` out of ``nodes``."""
+        return None
+
+    def data_event(self, index: int,
+                   nodes: AbstractSet[str]) -> Optional[AbstractSet[str]]:
+        """Receivers of data flood ``index`` out of ``nodes``."""
+        return None
+
+    @staticmethod
+    def _replay(event: Optional[AbstractSet[str]], initiator: str,
+                nodes: Set[str]) -> Set[str]:
+        if event is None:
+            return set(nodes)
+        return (set(event) & set(nodes)) | {initiator}
+
+    def beacon_receivers(self, host: str, nodes: Set[str]) -> Set[str]:
+        event = self.beacon_event(self._beacons, nodes)
+        self._beacons += 1
+        return self._replay(event, host, nodes)
+
+    def data_receivers(
+        self, sender: str, nodes: Set[str], payload_bytes: int
+    ) -> Set[str]:
+        event = self.data_event(self._data, nodes)
+        self._data += 1
+        return self._replay(event, sender, nodes)
+
+
+class BernoulliLoss(IndependentLoss):
     """Independent per-receiver flood losses.
 
     Args:
@@ -117,6 +272,8 @@ class BernoulliLoss:
         seed: Integer seed, ``random.Random``, ``numpy.random.Generator``,
             or ``None`` (OS-seeded).
     """
+
+    round_invariant = True
 
     def __init__(
         self,
@@ -130,27 +287,15 @@ class BernoulliLoss:
                 raise ValueError(f"{name} must be in [0, 1), got {p!r}")
         self.beacon_loss = beacon_loss
         self.data_loss = data_loss
-        self._rng = make_rng(seed)
+        super().__init__(seed)
 
-    def _sample(self, nodes: Set[str], loss: float, always: str) -> Set[str]:
-        received = {always} if always in nodes else set()
-        for node in sorted(nodes):
-            if node == always:
-                continue
-            if loss <= 0.0 or self._rng.random() >= loss:
-                received.add(node)
-        return received
-
-    def beacon_receivers(self, host: str, nodes: Set[str]) -> Set[str]:
-        return self._sample(nodes, self.beacon_loss, always=host)
-
-    def data_receivers(
-        self, sender: str, nodes: Set[str], payload_bytes: int
-    ) -> Set[str]:
-        return self._sample(nodes, self.data_loss, always=sender)
+    def miss_row(self, round_index: int, initiator: str, beacon: bool,
+                 receivers: Sequence[str]) -> List[float]:
+        loss = self.beacon_loss if beacon else self.data_loss
+        return [loss] * len(receivers)
 
 
-class ScriptedBeaconLoss:
+class ScriptedBeaconLoss(ScriptLoss):
     """Deterministic beacon drops for protocol experiments.
 
     The n-th beacon flood (0-based, counted across the run) is missed
@@ -162,23 +307,16 @@ class ScriptedBeaconLoss:
     """
 
     def __init__(self, drops: Optional[dict] = None) -> None:
+        super().__init__()
         self.drops = {int(k): set(v) for k, v in (drops or {}).items()}
-        self._beacon_counter = 0
 
-    def beacon_receivers(self, host: str, nodes: Set[str]) -> Set[str]:
-        missing = self.drops.get(self._beacon_counter, set())
-        self._beacon_counter += 1
-        received = set(nodes) - missing
-        received.add(host)
-        return received
-
-    def data_receivers(
-        self, sender: str, nodes: Set[str], payload_bytes: int
-    ) -> Set[str]:
-        return set(nodes)
+    def beacon_event(self, index: int,
+                     nodes: AbstractSet[str]) -> Optional[AbstractSet[str]]:
+        missing = self.drops.get(index)
+        return set(nodes) - missing if missing else None
 
 
-class TraceReplayLoss:
+class TraceReplayLoss(ScriptLoss):
     """Replay a recorded reception sequence — losses from a real run.
 
     Where :class:`BernoulliLoss` and :class:`GilbertElliottLoss` are
@@ -193,9 +331,6 @@ class TraceReplayLoss:
     Args:
         beacon: One receiver list per beacon flood, in round order.
         data: One receiver list per data flood, in slot order.
-        cycle: Legacy alias — ``True`` means ``on_end="wrap"``,
-            ``False`` means ``on_end="perfect"``.  Mutually exclusive
-            with ``on_end``.
         on_end: What happens when a flood is requested past the end of
             the recorded sequence: ``"wrap"`` (default) restarts from
             the beginning, ``"perfect"`` falls open to lossless links,
@@ -212,18 +347,9 @@ class TraceReplayLoss:
         self,
         beacon: Sequence[Iterable[str]] = (),
         data: Sequence[Iterable[str]] = (),
-        cycle: Optional[bool] = None,
-        on_end: Optional[str] = None,
+        on_end: str = "wrap",
     ) -> None:
-        if cycle is not None and not isinstance(cycle, bool):
-            raise ValueError(f"cycle must be a boolean, got {cycle!r}")
-        if cycle is not None and on_end is not None:
-            raise ValueError(
-                "cycle and on_end are mutually exclusive; "
-                "use on_end ('wrap'|'perfect'|'error')"
-            )
-        if on_end is None:
-            on_end = "perfect" if cycle is False else "wrap"
+        super().__init__()
         self.on_end = _validate_on_end(on_end)
         for name, events in (("beacon", beacon), ("data", data)):
             if isinstance(events, (str, bytes)) or not hasattr(
@@ -235,17 +361,9 @@ class TraceReplayLoss:
                 )
         self.beacon_events: List[Set[str]] = [set(event) for event in beacon]
         self.data_events: List[Set[str]] = [set(event) for event in data]
-        self._beacon_cursor = 0
-        self._data_cursor = 0
-
-    @property
-    def cycle(self) -> bool:
-        """Legacy view of the exhaustion policy (``on_end == "wrap"``)."""
-        return self.on_end == "wrap"
 
     @classmethod
-    def from_trace(cls, trace, cycle: Optional[bool] = None,
-                   on_end: Optional[str] = None) -> "TraceReplayLoss":
+    def from_trace(cls, trace, on_end: str = "wrap") -> "TraceReplayLoss":
         """Extract the reception events of a recorded simulation trace."""
         beacon = [sorted(record.beacon_receivers) for record in trace.rounds]
         data = [
@@ -253,45 +371,21 @@ class TraceReplayLoss:
             for record in trace.rounds
             for slot in record.slots
         ]
-        return cls(beacon=beacon, data=data, cycle=cycle, on_end=on_end)
+        return cls(beacon=beacon, data=data, on_end=on_end)
 
-    def _next(self, events: List[Set[str]], cursor: int,
-              label: str) -> "tuple[Optional[Set[str]], int]":
-        if not events:
-            if self.on_end == "error":
-                raise TraceExhaustedError(
-                    f"trace_replay: empty {label} trace with on_end='error'"
-                )
-            return None, cursor
-        if cursor >= len(events):
-            if self.on_end == "perfect":
-                return None, cursor
-            if self.on_end == "error":
-                raise TraceExhaustedError(
-                    f"trace_replay: {label} trace exhausted after "
-                    f"{len(events)} events (on_end='error'); provide a "
-                    f"longer trace or choose on_end='wrap'/'perfect'"
-                )
-            cursor = cursor % len(events)
-        return events[cursor], cursor + 1
+    def _event(self, events: List[Set[str]], index: int,
+               label: str) -> Optional[Set[str]]:
+        position = _replay_position(index, len(events), self.on_end,
+                                    "trace_replay", label)
+        return None if position is None else events[position]
 
-    def beacon_receivers(self, host: str, nodes: Set[str]) -> Set[str]:
-        event, self._beacon_cursor = self._next(
-            self.beacon_events, self._beacon_cursor, "beacon"
-        )
-        if event is None:
-            return set(nodes)
-        return (event & set(nodes)) | {host}
+    def beacon_event(self, index: int,
+                     nodes: AbstractSet[str]) -> Optional[AbstractSet[str]]:
+        return self._event(self.beacon_events, index, "beacon")
 
-    def data_receivers(
-        self, sender: str, nodes: Set[str], payload_bytes: int
-    ) -> Set[str]:
-        event, self._data_cursor = self._next(
-            self.data_events, self._data_cursor, "data"
-        )
-        if event is None:
-            return set(nodes)
-        return (event & set(nodes)) | {sender}
+    def data_event(self, index: int,
+                   nodes: AbstractSet[str]) -> Optional[AbstractSet[str]]:
+        return self._event(self.data_events, index, "data")
 
 
 class GilbertElliottLoss:
@@ -320,6 +414,8 @@ class GilbertElliottLoss:
     geometric with mean ``1 / p_bad_to_good`` rounds (the burst
     length).
     """
+
+    primitive = "markov"
 
     def __init__(
         self,
@@ -398,6 +494,8 @@ class GlossyLoss:
             or ``None`` (OS-seeded).
     """
 
+    primitive = "flood"
+
     def __init__(
         self,
         topology: Topology,
@@ -432,7 +530,7 @@ def _validate_probability(name: str, p, *, allow_one: bool = True) -> float:
     return float(p)
 
 
-class SpatialLoss:
+class SpatialLoss(IndependentLoss):
     """Position-derived loss: log-distance path loss -> per-link PDR.
 
     The classic low-power-wireless propagation model ("Pister hack"):
@@ -450,7 +548,8 @@ class SpatialLoss:
 
     The entire PDR matrix is computed **once at construction** from the
     topology's node positions; every flood then samples per-receiver
-    Bernoulli losses against the source's PDR row.  Shadowing draws come
+    Bernoulli losses against the source's PDR row.  A node without a
+    position (outside the topology) has PDR 0 to and from every node.  Shadowing draws come
     from a *dedicated* stream (``shadowing_seed``) iterated in sorted
     node-pair order, so the matrix is byte-identical across processes
     and across trials — only the per-flood sampling is re-seeded by the
@@ -472,6 +571,8 @@ class SpatialLoss:
             links) vs. independent draws per direction.
         seed: Per-flood sampling stream (re-seeded per MC trial).
     """
+
+    round_invariant = True
 
     def __init__(
         self,
@@ -521,7 +622,7 @@ class SpatialLoss:
         self.shadowing_db = float(shadowing_db)
         self.shadowing_seed = shadowing_seed
         self.symmetric = symmetric
-        self._rng = make_rng(seed)
+        super().__init__(seed)
         self._pdr = self._compute_pdr_matrix()
 
     def pdr_from_distance(self, distance: float, shadow_db: float = 0.0) -> float:
@@ -571,27 +672,13 @@ class SpatialLoss:
         """A copy of the per-link PDR matrix (``matrix[src][dst]``)."""
         return {src: dict(row) for src, row in self._pdr.items()}
 
-    def _sample(self, source: str, nodes: Set[str]) -> Set[str]:
-        received = {source} if source in nodes else set()
-        row = self._pdr[source]
-        for node in sorted(nodes):
-            if node == source:
-                continue
-            loss = 1.0 - row[node]
-            if loss <= 0.0 or self._rng.random() >= loss:
-                received.add(node)
-        return received
-
-    def beacon_receivers(self, host: str, nodes: Set[str]) -> Set[str]:
-        return self._sample(host, nodes)
-
-    def data_receivers(
-        self, sender: str, nodes: Set[str], payload_bytes: int
-    ) -> Set[str]:
-        return self._sample(sender, nodes)
+    def miss_row(self, round_index: int, initiator: str, beacon: bool,
+                 receivers: Sequence[str]) -> List[float]:
+        row = self._pdr.get(initiator, {})
+        return [1.0 - row.get(node, 0.0) for node in receivers]
 
 
-class MatrixTraceLoss:
+class MatrixTraceLoss(IndependentLoss):
     """Time-indexed per-link PDR matrices replayed round by round.
 
     The generalization of :class:`TraceReplayLoss` from recorded
@@ -643,8 +730,7 @@ class MatrixTraceLoss:
         ]
         if not self._entries:
             raise ValueError("matrix_trace needs at least one matrix")
-        self._rng = make_rng(seed)
-        self._beacon_count = 0
+        super().__init__(seed)
 
     @staticmethod
     def _load_jsonl(path: str) -> List[dict]:
@@ -705,49 +791,21 @@ class MatrixTraceLoss:
         end of the trace).  Raises :class:`TraceExhaustedError` under
         ``on_end="error"``.
         """
-        count = len(self._entries)
-        if round_index < count:
-            return self._entries[round_index]
-        if self.on_end == "wrap":
-            return self._entries[round_index % count]
-        if self.on_end == "error":
-            raise TraceExhaustedError(
-                f"matrix_trace: trace exhausted after {count} matrices "
-                f"(round {round_index}, on_end='error'); provide a longer "
-                f"trace or choose on_end='wrap'/'perfect'"
-            )
-        return None
+        position = _replay_position(round_index, len(self._entries),
+                                    self.on_end, "matrix_trace", "matrix")
+        return None if position is None else self._entries[position]
 
-    def _sample(self, source: str, nodes: Set[str],
-                round_index: int) -> Set[str]:
-        received = {source} if source in nodes else set()
+    def miss_row(self, round_index: int, initiator: str, beacon: bool,
+                 receivers: Sequence[str]) -> List[float]:
         entry = self.matrix_for_round(round_index)
         if entry is None:
-            return set(nodes) | received
+            return [0.0] * len(receivers)
         rows, default = entry
-        row = rows.get(source, {})
-        for node in sorted(nodes):
-            if node == source:
-                continue
-            loss = 1.0 - row.get(node, default)
-            if loss <= 0.0 or self._rng.random() >= loss:
-                received.add(node)
-        return received
-
-    def beacon_receivers(self, host: str, nodes: Set[str]) -> Set[str]:
-        round_index = self._beacon_count
-        self._beacon_count += 1
-        return self._sample(host, nodes, round_index)
-
-    def data_receivers(
-        self, sender: str, nodes: Set[str], payload_bytes: int
-    ) -> Set[str]:
-        # Data floods belong to the round opened by the latest beacon.
-        round_index = max(0, self._beacon_count - 1)
-        return self._sample(sender, nodes, round_index)
+        row = rows.get(initiator, {})
+        return [1.0 - row.get(node, default) for node in receivers]
 
 
-class TimeVaryingLoss:
+class TimeVaryingLoss(IndependentLoss):
     """Base loss rates modulated over time — periodic or ramp.
 
     Models the slow link-quality dynamics real deployments see
@@ -762,8 +820,7 @@ class TimeVaryingLoss:
       degrading (or recovering) channel.
 
     The round counter advances once per beacon; a round's data floods
-    use that round's factor.  :meth:`loss_at` is the pure time->loss
-    function the fast and vectorized engines reuse verbatim.
+    use that round's factor (:meth:`loss_at`).
 
     Args:
         beacon_loss: Base beacon flood-miss probability.
@@ -824,8 +881,7 @@ class TimeVaryingLoss:
         self.ramp_rounds = ramp_rounds
         self.scale_start = float(scale_start)
         self.scale_end = float(scale_end)
-        self._rng = make_rng(seed)
-        self._round = 0
+        super().__init__(seed)
 
     def factor(self, round_index: int) -> float:
         """The loss-scaling factor of round ``round_index`` (pure)."""
@@ -840,38 +896,20 @@ class TimeVaryingLoss:
         """Effective loss probability at ``round_index`` (pure, clamped)."""
         return min(1.0, max(0.0, base * self.factor(round_index)))
 
-    def _sample(self, nodes: Set[str], loss: float, always: str) -> Set[str]:
-        received = {always} if always in nodes else set()
-        for node in sorted(nodes):
-            if node == always:
-                continue
-            if loss <= 0.0 or self._rng.random() >= loss:
-                received.add(node)
-        return received
-
-    def beacon_receivers(self, host: str, nodes: Set[str]) -> Set[str]:
-        round_index = self._round
-        self._round += 1
-        loss = self.loss_at(round_index, self.beacon_loss)
-        return self._sample(nodes, loss, always=host)
-
-    def data_receivers(
-        self, sender: str, nodes: Set[str], payload_bytes: int
-    ) -> Set[str]:
-        round_index = max(0, self._round - 1)
-        loss = self.loss_at(round_index, self.data_loss)
-        return self._sample(nodes, loss, always=sender)
+    def miss_row(self, round_index: int, initiator: str, beacon: bool,
+                 receivers: Sequence[str]) -> List[float]:
+        base = self.beacon_loss if beacon else self.data_loss
+        return [self.loss_at(round_index, base)] * len(receivers)
 
 
-class InterferenceLoss:
+class InterferenceLoss(IndependentLoss):
     """Duty-cycled external jammer masking whole rounds.
 
     A periodic interferer (Wi-Fi beacons, a competing network, the EWSN
     dependability-competition jammer) is active ``burst`` rounds out of
     every ``period``, starting at ``offset``.  While active, every
     affected node suffers ``jam_loss`` on all floods; otherwise the base
-    rates apply.  :meth:`jammed` is the pure round->state function the
-    fast and vectorized engines reuse verbatim.
+    rates apply (:meth:`node_loss`).
 
     Args:
         period: Jammer duty-cycle period in rounds (>= 1).
@@ -930,8 +968,7 @@ class InterferenceLoss:
         self.affected = None if affected is None else frozenset(
             str(node) for node in affected
         )
-        self._rng = make_rng(seed)
-        self._round = 0
+        super().__init__(seed)
 
     def jammed(self, round_index: int) -> bool:
         """Whether the jammer is active in round ``round_index`` (pure)."""
@@ -945,45 +982,13 @@ class InterferenceLoss:
             return self.jam_loss
         return base
 
-    def _sample(self, nodes: Set[str], round_index: int, base: float,
-                always: str) -> Set[str]:
-        received = {always} if always in nodes else set()
-        for node in sorted(nodes):
-            if node == always:
-                continue
-            loss = self.node_loss(node, round_index, base)
-            if loss <= 0.0 or self._rng.random() >= loss:
-                received.add(node)
-        return received
-
-    def beacon_receivers(self, host: str, nodes: Set[str]) -> Set[str]:
-        round_index = self._round
-        self._round += 1
-        return self._sample(nodes, round_index, self.base_beacon_loss,
-                            always=host)
-
-    def data_receivers(
-        self, sender: str, nodes: Set[str], payload_bytes: int
-    ) -> Set[str]:
-        round_index = max(0, self._round - 1)
-        return self._sample(nodes, round_index, self.base_data_loss,
-                            always=sender)
+    def miss_row(self, round_index: int, initiator: str, beacon: bool,
+                 receivers: Sequence[str]) -> List[float]:
+        base = self.base_beacon_loss if beacon else self.base_data_loss
+        return [self.node_loss(node, round_index, base) for node in receivers]
 
 
 # -- the Scenario JSON boundary -----------------------------------------------
-
-#: Loss kinds whose realization is controlled by a ``seed`` parameter.
-#: The Monte-Carlo campaign layer re-seeds exactly these per trial;
-#: the others are deterministic and replay identically every trial.
-SEEDABLE_KINDS = frozenset({
-    "bernoulli", "gilbert_elliott", "glossy",
-    "spatial", "matrix_trace", "time_varying", "interference",
-})
-
-#: Loss kinds that need a topology at construction time (``build_loss``
-#: refuses them without one; ``Scenario.validate`` enforces it at the
-#: JSON boundary).
-TOPOLOGY_LOSS_KINDS = frozenset({"glossy", "spatial"})
 
 #: kind -> (constructor, needs_topology)
 _LOSS_KINDS = {
@@ -998,6 +1003,46 @@ _LOSS_KINDS = {
     "time_varying": (TimeVaryingLoss, False),
     "interference": (InterferenceLoss, False),
 }
+
+#: Loss kinds whose realization is controlled by a ``seed`` parameter
+#: (their constructor takes one).  The Monte-Carlo campaign layer
+#: re-seeds exactly these per trial; the others are deterministic and
+#: replay identically every trial.
+SEEDABLE_KINDS = frozenset(
+    kind for kind, (constructor, _) in _LOSS_KINDS.items()
+    if "seed" in inspect.signature(constructor).parameters
+)
+
+#: Loss kinds that need a topology at construction time (``build_loss``
+#: refuses them without one; ``Scenario.validate`` enforces it at the
+#: JSON boundary).
+TOPOLOGY_LOSS_KINDS = frozenset(
+    kind for kind, (_, needs_topology) in _LOSS_KINDS.items()
+    if needs_topology
+)
+
+#: The primitives a loss kind can lower onto: ``perfect`` draws
+#: nothing, the other four are the draw primitives every trial engine
+#: implements once (see the module docstring).
+PRIMITIVES = ("perfect", "independent", "script", "markov", "flood")
+
+
+def loss_primitive(kind: Optional[str]) -> Optional[str]:
+    """The primitive loss ``kind`` lowers onto — ``"perfect"`` for
+    ``None`` (no loss model) — or ``None`` when the kind is unknown or
+    its class does not lower onto one of :data:`PRIMITIVES`."""
+    if kind is None:
+        return PerfectLinks.primitive
+    entry = _LOSS_KINDS.get(kind)
+    primitive = getattr(entry[0], "primitive", None) if entry else None
+    return primitive if primitive in PRIMITIVES else None
+
+
+def supports_loss_kind(kind: Optional[str]) -> bool:
+    """Whether loss ``kind`` lowers onto a primitive, so that both
+    compiled trial engines (``fast`` and ``vectorized``) run it; other
+    kinds run on the reference simulator only."""
+    return loss_primitive(kind) is not None
 
 
 def available_loss_kinds() -> "tuple[str, ...]":

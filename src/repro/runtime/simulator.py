@@ -324,7 +324,11 @@ class RuntimeSimulator:
         nodes: Dict[str, _NodeState],
         stop_time: Optional[float],
     ) -> RoundRecord:
-        receivers = self.loss.beacon_receivers(host, self.all_nodes)
+        # A host outside the deployment (a base station owning no
+        # tasks or messages) is no node of the round.
+        receivers = (
+            self.loss.beacon_receivers(host, self.all_nodes) & self.all_nodes
+        )
         record = RoundRecord(
             time=round_time,
             mode_id=mode_id,

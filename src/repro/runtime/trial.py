@@ -23,12 +23,13 @@ every loss model consumes its random stream in sorted-node order (see
 equal seeds give equal traces in any process on any platform.
 
 Trials run on one of :data:`ENGINES`, resolved per scenario by
-:func:`trial_engine`.  ``vectorized`` covers every built-in loss kind
-(``glossy`` floods included) under both node policies (the
-``LOCAL_BELIEF`` ablation included); requests fall back down the
-``vectorized -> fast -> reference`` ladder only for custom loss kinds,
-scenarios the compiler rejects, and beacon hosts outside the
-deployment.
+:func:`trial_engine`.  Both compiled engines (``fast`` and
+``vectorized``) implement the sampling primitives every built-in loss
+kind lowers onto (see :mod:`repro.runtime.loss`), under both node
+policies (the ``LOCAL_BELIEF`` ablation included); a request runs as
+asked or falls back to ``reference`` — for loss kinds that lower onto
+no primitive, scenarios the compiler rejects, and beacon hosts outside
+the deployment.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from typing import Dict, List, Optional, Tuple
 from ..core.modes import Mode
 from ..net.topology import Topology, build_topology
 from .deployment import ModeDeployment, build_deployment
-from .loss import SEEDABLE_KINDS, build_loss, reseeded
+from .loss import SEEDABLE_KINDS, build_loss, reseeded, supports_loss_kind
 from .simulator import ModeRequest, NodePolicy, RadioTiming, RuntimeSimulator
 from .trace import Trace
 
@@ -281,14 +282,12 @@ def build_context(data: dict) -> TrialContext:
 
 
 #: Trial engines ``run_trial`` accepts.  ``fast`` compiles the scenario
-#: into a round program and accumulates the summary trace-free — and
-#: transparently falls back to ``reference`` for anything the compiler
-#: or its loss samplers do not support.  ``vectorized`` additionally
-#: replaces the per-trial loop with tensor sampling and reduction
-#: (:mod:`repro.mc.vectorized`; every built-in loss kind, ``glossy``
-#: floods included, under both node policies) — distribution-equivalent,
-#: not bit-identical, and falling back ``vectorized -> fast ->
-#: reference``.
+#: into a round program and accumulates the summary trace-free.
+#: ``vectorized`` additionally replaces the per-trial loop with tensor
+#: sampling and reduction (:mod:`repro.mc.vectorized`) —
+#: distribution-equivalent, not bit-identical.  Both run exactly the
+#: loss kinds that lower onto a sampling primitive and transparently
+#: fall back to ``reference`` for anything else they do not support.
 #: ``reference`` always walks the full object-level simulator.
 #: ``fast`` and ``reference`` produce bit-identical results; ``fast``
 #: is the default.
@@ -302,41 +301,22 @@ def trial_engine(
 ) -> str:
     """Which engine a trial requested with ``engine`` actually executes.
 
-    ``engine="fast"`` resolves to ``"fast"`` when the scenario
-    compiles, the loss kind has a fast-path sampler, and the beacon
-    host resolves to a compiled node index; ``"reference"`` otherwise.
-    ``engine="vectorized"`` resolves to ``"vectorized"`` under the same
-    conditions when the loss kind also has a vector sampler — every
-    built-in kind does, under either node policy; anything unsupported
-    falls through the same ladder to ``"fast"``, then ``"reference"``.
+    ``engine="fast"`` and ``engine="vectorized"`` resolve to themselves
+    when the loss kind lowers onto a sampling primitive
+    (:func:`~repro.runtime.loss.supports_loss_kind` — every built-in
+    kind does), the scenario compiles, and the beacon host resolves to
+    a compiled node index; to ``"reference"`` otherwise.
     ``engine="reference"`` is always itself.
     """
-    if engine == "reference":
-        return "reference"
-    if engine == "vectorized":
-        from ..mc.vectorized import supports_loss_kind as vector_supports
-
-        if (
-            vector_supports(loss_kind)
-            and context.timeline() is not None
-            and context.compiled().resolve_host(context.host_node) is not None
-        ):
-            return "vectorized"
-        # fall through to the fast engine's own fallback rules
-
-    from ..mc.fastpath import supports_loss_kind
-
-    if not supports_loss_kind(loss_kind):
+    if engine == "reference" or not supports_loss_kind(loss_kind):
         return "reference"
     program = context.compiled()
-    if program is None:
-        return "reference"
-    if program.resolve_host(context.host_node) is None:
+    if program is None or program.resolve_host(context.host_node) is None:
         # A host outside the deployment's node universe (a base
         # station owning no tasks or messages) cannot be masked; the
         # reference simulator handles it.
         return "reference"
-    return "fast"
+    return "vectorized" if engine == "vectorized" else "fast"
 
 
 def fallback_reason(
@@ -345,8 +325,8 @@ def fallback_reason(
     requested: str,
     resolved: str,
 ) -> Optional[str]:
-    """Why the engine ladder stepped down from ``requested`` to
-    ``resolved`` — ``None`` when it did not.
+    """Why a request for ``requested`` resolved to ``resolved`` (the
+    reference simulator) — ``None`` when it ran as requested.
 
     Mirrors :func:`trial_engine`'s rules and surfaces the stored
     diagnostic (:attr:`TrialContext.compile_error`), so observability
@@ -356,17 +336,10 @@ def fallback_reason(
     if resolved == requested:
         return None
     reasons = []
-    if requested == "vectorized":
-        from ..mc.vectorized import supports_loss_kind as vector_supports
-
-        if not vector_supports(loss_kind):
-            reasons.append(f"no vector sampler for loss kind {loss_kind!r}")
-    if resolved == "reference":
-        from ..mc.fastpath import supports_loss_kind
-
-        if not supports_loss_kind(loss_kind):
-            reasons.append(f"no fast-path sampler for loss kind {loss_kind!r}")
-    # Both lower rungs need a compiled program with a maskable host.
+    if not supports_loss_kind(loss_kind):
+        reasons.append(
+            f"loss kind {loss_kind!r} lowers onto no sampling primitive"
+        )
     program = context.compiled()
     if program is None:
         reasons.append(f"compile: {context.compile_error}")
@@ -392,14 +365,14 @@ def run_trial(
         loss_kind: Loss model kind, or ``None`` for perfect links.
         loss_params: Loss model parameters.
         engine: ``"fast"`` (compiled round program, trace-free
-            accumulation; automatic fallback to the reference
-            simulator for unsupported scenario features),
-            ``"vectorized"`` (tensor sampling and reduction over the
-            unrolled round timeline — distribution-equivalent to the
-            other engines, not bit-identical, falling back
-            ``vectorized -> fast -> reference``), or ``"reference"``
-            (the object-level simulator).  ``fast`` and ``reference``
-            are bit-identical wherever the fast path runs.
+            accumulation), ``"vectorized"`` (tensor sampling and
+            reduction over the unrolled round timeline —
+            distribution-equivalent to the other engines, not
+            bit-identical), or ``"reference"`` (the object-level
+            simulator).  Both compiled engines fall back to the
+            reference simulator for unsupported scenario features.
+            ``fast`` and ``reference`` are bit-identical wherever the
+            fast path runs.
     """
     if engine not in ENGINES:
         raise ValueError(
@@ -458,7 +431,7 @@ def execute_trial(context: TrialContext, task: dict) -> dict:
     opaque bookkeeping keys (``trial``, ``seed``, ``point``) that are
     echoed into the result so the aggregator can group answers without
     relying on completion order.  ``engine_used`` records the engine
-    the fallback ladder actually resolved to.
+    the request actually resolved to (see :func:`trial_engine`).
     """
     loss = task.get("loss")
     kind = loss["kind"] if loss is not None else None
@@ -491,8 +464,8 @@ def execute_trial_batch(context: TrialContext, task: dict) -> dict:
     so the campaign layer groups the trials of a grid point into batch
     tasks: ``task`` carries ``loss`` (the grid point's **base**
     description, without a per-trial seed), ``engine``, and ``trials``
-    — a list of ``(trial_index, seed)`` pairs.  When the fallback
-    ladder resolves to a scalar engine the batch degrades gracefully
+    — a list of ``(trial_index, seed)`` pairs.  When the request
+    resolves to a scalar engine the batch degrades gracefully
     to per-trial execution with the established per-trial reseeding,
     so results are bit-identical to the per-trial task path.
 

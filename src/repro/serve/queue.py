@@ -167,7 +167,7 @@ class JobQueue:
         self.campaigns_executed = 0
         self.trials_executed = 0
         # requested engine -> {engine actually used -> count}; fallback
-        # shows up as an off-diagonal entry (e.g. vectorized -> fast).
+        # shows up as an off-diagonal entry (e.g. vectorized -> reference).
         self.engine_resolution: Dict[str, Dict[str, int]] = {}
 
     # -- lifecycle -------------------------------------------------------

@@ -124,7 +124,7 @@ VECTOR_LOSS_MATRIX = [
     ("scripted_beacon", {"drops": {"3": ["n1"], "10": ["n1", "n2"]}}, True),
     ("trace_replay",
      {"beacon": [["n1"], ["n0", "n1", "n2"], []],
-      "data": [["n0", "n1", "n2"], ["n2"]], "cycle": True}, True),
+      "data": [["n0", "n1", "n2"], ["n2"]], "on_end": "wrap"}, True),
 ]
 
 #: Node coordinates for the spatial kind — names match the workload's

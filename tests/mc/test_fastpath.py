@@ -21,8 +21,9 @@ from repro.core import Mode, SchedulingConfig
 from repro.core.app_model import Application
 from repro.mc import run_campaign
 from repro.mc.campaign import scenario_context
-from repro.mc.fastpath import SAMPLER_BUILDERS, supports_loss_kind
+from repro.mc.fastpath import SAMPLER_BUILDERS
 from repro.runtime.compiled import CompileError, compile_program
+from repro.runtime.loss import supports_loss_kind
 from repro.runtime.simulator import NodePolicy
 from repro.runtime.trial import (
     build_context,
@@ -102,7 +103,8 @@ LOSS_MATRIX = [
      lambda seed: {"drops": {str(3 + seed): ["n1"], "10": ["n1", "n2"]}}, {}),
     ("trace_replay",
      lambda seed: {"beacon": [["n1"], ["n0", "n1", "n2"], []],
-                   "data": [["n0", "n1", "n2"], ["n2"]], "cycle": True}, {}),
+                   "data": [["n0", "n1", "n2"], ["n2"]], "on_end": "wrap"},
+     {}),
     ("glossy",
      lambda seed: {"link_success": 0.9, "seed": seed},
      {"topology": TopologySpec("line", {"num_nodes": 4})}),
@@ -201,12 +203,12 @@ class TestFallback:
     """Unsupported features run the reference engine, transparently."""
 
     def test_unknown_loss_kind_falls_back(self, monkeypatch):
-        """A loss kind without a fast-path sampler must not error —
-        the trial silently runs on the reference simulator."""
+        """A loss kind that lowers onto no sampling primitive must not
+        error — the trial silently runs on the reference simulator."""
         from repro.runtime import loss as loss_module
 
         class EveryOtherBeacon:
-            """Drops every second beacon; not in the sampler registry."""
+            """Drops every second beacon; declares no primitive."""
 
             def __init__(self):
                 self.count = 0
@@ -292,13 +294,67 @@ class TestFallback:
             ), engine="warp")
 
     def test_sampler_registry_covers_builtin_kinds(self):
-        from repro.runtime.loss import available_loss_kinds
+        """Every built-in kind lowers onto a primitive the fast path
+        samples, or it silently runs at reference speed."""
+        from repro.runtime.loss import (
+            PRIMITIVES,
+            available_loss_kinds,
+            loss_primitive,
+        )
 
+        assert set(SAMPLER_BUILDERS) == set(PRIMITIVES)
         for kind in available_loss_kinds():
-            assert kind in SAMPLER_BUILDERS, (
-                f"built-in loss kind {kind!r} has no fast-path sampler; "
-                f"add one or it silently runs at reference speed"
+            assert loss_primitive(kind) in SAMPLER_BUILDERS, (
+                f"built-in loss kind {kind!r} lowers onto no primitive"
             )
+
+
+class TestForeignNodes:
+    """Nodes a loss model cannot place never crash a trial."""
+
+    @pytest.mark.parametrize(
+        "kind,params_of,extras", LOSS_MATRIX,
+        ids=[row[0] for row in LOSS_MATRIX],
+    )
+    def test_foreign_host_completes(self, kind, params_of, extras):
+        """A beacon host outside the deployment (a base station owning
+        no tasks or messages) runs on every kind and every engine
+        request — except that a Glossy flood refuses an initiator
+        outside its topology.  Never a ``KeyError``."""
+        scenario = switching_scenario(
+            simulation=SimulationSpec(duration=500.0,
+                                      host_node="base_station"),
+            **extras,
+        )
+        context = context_for(scenario)
+        for engine in ("fast", "vectorized", "reference"):
+            if kind == "glossy":
+                with pytest.raises(ValueError, match="not in topology"):
+                    run_trial(context, kind, params_of(3), engine=engine)
+                continue
+            result = run_trial(context, kind, params_of(3), engine=engine)
+            heard, expected = result.beacon_heard
+            assert result.rounds > 0
+            assert heard <= expected
+
+    def test_spatial_task_node_without_position(self):
+        """A task node the topology gives no position has PDR 0 to and
+        from every node: it never hears a beacon, on every engine."""
+        positions = {name: POSITIONS[name] for name in ("n0", "n1", "n2")}
+        context = context_for(switching_scenario(topology=TopologySpec(
+            "uniform_random", {"positions": positions, "comm_range": 40.0},
+        )))
+        params = {"shadowing_db": 3.0, "shadowing_seed": 5,
+                  "sensitivity_dbm": -92.0, "seed": 4}
+        assert trial_engine(context, "spatial", "vectorized") == "vectorized"
+        results = {
+            engine: run_trial(context, "spatial", params, engine=engine)
+            for engine in ("fast", "vectorized", "reference")
+        }
+        assert results["fast"].to_dict() == results["reference"].to_dict()
+        for result in results.values():
+            heard, expected = result.beacon_heard
+            assert 0 < heard <= expected - result.rounds
 
 
 class TestProgramCompilation:

@@ -7,12 +7,12 @@ Three claims beyond distribution equivalence (which
   the trials are batched: one call vs split calls, tiny tensor chunks,
   ``jobs=1`` vs a process pool, repeated runs.
 * **Fallback** — ``engine="vectorized"`` never errors on unsupported
-  features; it resolves down the ``vectorized -> fast -> reference``
-  ladder and the campaign/CLI report what actually ran.  Every
-  built-in loss kind (``glossy`` included) and both node policies
-  vectorize, so the tests reach the lower rungs through a beacon host
-  outside the deployment, an uncompilable context, or a loss kind
-  without a vector sampler.
+  features; it falls back to the reference simulator and the
+  campaign/CLI report what actually ran.  Every built-in loss kind
+  (``glossy`` included) and both node policies vectorize, so the tests
+  reach the fallback through a beacon host outside the deployment, an
+  uncompilable context, or a loss kind that lowers onto no sampling
+  primitive.
 * **Plumbing** — the batch executor produces exactly the per-trial
   payload shape the aggregator expects, on both the tensor path and
   the scalar-fallback path.
@@ -213,7 +213,7 @@ class TestDeterminism:
         program = glossy_context.compiled()
         timeline = glossy_context.timeline()
         model = build_loss("glossy", GLOSSY, glossy_context.topology)
-        sampler = vectorized_module.VECTOR_SAMPLERS["glossy"](
+        sampler = vectorized_module.VECTOR_SAMPLERS["flood"](
             model, program, timeline, program.resolve_host(None),
         )
         floods = timeline.num_rounds + timeline.num_slots
@@ -279,23 +279,10 @@ class TestFallbackLadder:
         assert timeline.slot_position.shape == (timeline.num_slots,)
         assert timeline.belief_transmits is not None
 
-    def test_kind_without_vector_sampler_falls_back_to_fast(
-        self, glossy_context, monkeypatch
-    ):
-        """A kind the fast path samples but the kernel does not stops
-        one rung down, bit-identical to the fast engine."""
-        monkeypatch.delitem(vectorized_module.VECTOR_SAMPLERS, "glossy")
-        assert trial_engine(glossy_context, "glossy", "vectorized") == "fast"
-        params = {"link_success": 0.9, "seed": 3}
-        via_vectorized = run_trial(glossy_context, "glossy", params,
-                                   engine="vectorized")
-        via_fast = run_trial(glossy_context, "glossy", params, engine="fast")
-        assert via_vectorized.to_dict() == via_fast.to_dict()
-
     def test_local_belief_foreign_host_falls_back_to_reference(self):
         """The ablation with a host outside the deployment: the
         timeline unrolls, but no compiled engine can mask the host, so
-        the ladder ends at the reference simulator — collisions
+        the request falls back to the reference simulator — collisions
         included, bit for bit."""
         context = context_for(with_policy(
             foreign_host_scenario(loss=None), "local_belief"
@@ -362,8 +349,8 @@ class TestFallbackLadder:
             "reference"
 
     def test_kernel_refuses_unsupported_inputs(self, gated_context):
-        """Called directly (below the ladder), the kernel raises the
-        typed error the engine resolution gates on."""
+        """Called directly (without the engine resolution), the kernel
+        raises the typed error the resolution gates on."""
         with pytest.raises(VectorizeError, match="no vectorized sampler"):
             run_trials_vectorized(gated_context, "no_such_kind", {}, [1])
         foreign = context_for(foreign_host_scenario(loss=None))
@@ -431,7 +418,7 @@ class TestExecutors:
             assert {k: payload[k] for k in expected} == expected
 
     def test_batch_scalar_fallback_is_bit_identical(self):
-        """When the ladder resolves below vectorized, the batch path
+        """When the request falls back to a scalar engine, the batch path
         must reproduce the per-trial task path bit for bit —
         including the per-trial reseeding."""
         context = context_for(foreign_host_scenario(

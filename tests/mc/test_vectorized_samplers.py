@@ -1,13 +1,15 @@
 """Property tests for the vectorized loss samplers.
 
-Each vector sampler in :mod:`repro.mc.vectorized` claims to be the
-*tensor twin* of a scalar model in :mod:`repro.runtime.loss` — same
-marginal distributions, drawn from numpy streams instead of
-``random.Random``.  The stochastic twins (Bernoulli, Gilbert-Elliott)
-are checked with hypothesis-driven statistical properties at very wide
-confidence levels plus an exact replication of their recurrences; the
-deterministic twins (scripted beacons, trace replay) must agree with
-the reference models *exactly*, receiver set by receiver set.
+:mod:`repro.mc.vectorized` has one tensor sampler per sampling
+primitive of :mod:`repro.runtime.loss`; run on a kind's model, it must
+realize the same marginal distributions as the scalar model, drawn
+from numpy streams instead of ``random.Random``.  The stochastic
+primitives (independent draws, the Gilbert-Elliott chain) are checked
+with hypothesis-driven statistical properties at very wide confidence
+levels plus an exact replication of their recurrences; the
+deterministic script primitive (scripted beacons, trace replay) must
+agree with the reference models *exactly*, receiver set by receiver
+set.
 
 The samplers only touch a handful of program/timeline attributes, so
 these tests drive them with minimal stand-ins — no synthesis needed.
@@ -23,22 +25,23 @@ from hypothesis import strategies as st
 from repro.mc.stats import wilson_interval
 from repro.mc.vectorized import (
     VECTOR_SAMPLERS,
-    _BernoulliVector,
     _GilbertElliottVector,
     _GlossyVector,
+    _IndependentVector,
     _PerfectVector,
-    _ScriptedBeaconVector,
-    _TraceReplayVector,
-    supports_loss_kind,
+    _ScriptVector,
 )
 from repro.net.topology import line, ring
 from repro.runtime.loss import (
+    PRIMITIVES,
     BernoulliLoss,
     GilbertElliottLoss,
     GlossyLoss,
     ScriptedBeaconLoss,
     TraceReplayLoss,
     available_loss_kinds,
+    loss_primitive,
+    supports_loss_kind,
 )
 from repro.runtime.simulator import NodePolicy
 
@@ -86,7 +89,7 @@ class TestBernoulliVector:
     ):
         model = BernoulliLoss(beacon_loss=beacon_loss, data_loss=data_loss)
         timeline = fake_timeline(rounds=60, slots=150)
-        sampler = _BernoulliVector(model, fake_program(), timeline, HOST)
+        sampler = _IndependentVector(model, fake_program(), timeline, HOST)
         beacon, data = sampler.sample(trial_rngs(master, 8))
 
         # The host hears every beacon, the sender its own flood —
@@ -106,7 +109,7 @@ class TestBernoulliVector:
         assert low <= 1.0 - data_loss <= high
 
     def test_zero_loss_is_lossless(self):
-        sampler = _BernoulliVector(
+        sampler = _IndependentVector(
             BernoulliLoss(), fake_program(), fake_timeline(20, 40), HOST
         )
         beacon, data = sampler.sample(trial_rngs(7, 3))
@@ -116,7 +119,7 @@ class TestBernoulliVector:
         """Trial ``t`` consumes only ``rngs[t]`` — the invariant that
         makes results independent of batch splits."""
         timeline = fake_timeline(30, 60)
-        sampler = _BernoulliVector(
+        sampler = _IndependentVector(
             BernoulliLoss(beacon_loss=0.3, data_loss=0.3),
             fake_program(), timeline, HOST,
         )
@@ -213,7 +216,7 @@ class TestScriptedBeaconVector:
         rounds = 12
         timeline = fake_timeline(rounds, 2 * rounds)
         program = fake_program()
-        sampler = _ScriptedBeaconVector(
+        sampler = _ScriptVector(
             ScriptedBeaconLoss(self.DROPS), program, timeline, HOST
         )
         beacon, data = sampler.sample(trial_rngs(0, 3))
@@ -228,7 +231,7 @@ class TestScriptedBeaconVector:
 
     def test_host_immune_to_scripted_drop(self):
         timeline = fake_timeline(4, 8)
-        sampler = _ScriptedBeaconVector(
+        sampler = _ScriptVector(
             ScriptedBeaconLoss({"1": [NODES[HOST], "n0"]}),
             fake_program(), timeline, HOST,
         )
@@ -241,21 +244,22 @@ class TestTraceReplayVector:
     BEACON = [["n0", "n1", "n2", "n3"], ["n1"], []]
     DATA = [["n0", "n1", "n2", "n3", "n4", "n5", "n6", "n7"], ["n4"]]
 
-    @pytest.mark.parametrize("cycle", [True, False])
-    def test_rows_equal_reference_receiver_sets(self, cycle):
+    @pytest.mark.parametrize("wrap", [True, False])
+    def test_rows_equal_reference_receiver_sets(self, wrap):
         """Replay the reference model flood by flood: the beacon
         cursor advances every round, the data cursor only when the
         slot's sender heard the beacon (the gating the vectorized
         sampler precomputes)."""
         rounds = 8
         timeline = fake_timeline(rounds, 3 * rounds, seed=3)
+        on_end = "wrap" if wrap else "perfect"
         model = TraceReplayLoss(beacon=self.BEACON, data=self.DATA,
-                                cycle=cycle)
-        sampler = _TraceReplayVector(model, fake_program(), timeline, HOST)
+                                on_end=on_end)
+        sampler = _ScriptVector(model, fake_program(), timeline, HOST)
         beacon, data = sampler.sample(trial_rngs(0, 2))
 
         reference = TraceReplayLoss(beacon=self.BEACON, data=self.DATA,
-                                    cycle=cycle)
+                                    on_end=on_end)
         nodes = set(NODES)
         for r in range(rounds):
             received = reference.beacon_receivers(NODES[HOST], nodes)
@@ -273,7 +277,7 @@ class TestTraceReplayVector:
 
     def test_empty_trace_is_perfect(self):
         timeline = fake_timeline(5, 10)
-        sampler = _TraceReplayVector(
+        sampler = _ScriptVector(
             TraceReplayLoss(), fake_program(), timeline, HOST
         )
         beacon, data = sampler.sample(trial_rngs(0, 2))
@@ -351,16 +355,18 @@ class TestPerfectVector:
 
 class TestRegistry:
     def test_every_builtin_kind_vectorizes(self):
-        """Every built-in kind must have a vector sampler, or campaigns
-        silently lose the speedup."""
+        """Every built-in kind must lower onto a primitive the kernel
+        samples, or campaigns silently lose the speedup."""
+        assert set(VECTOR_SAMPLERS) == set(PRIMITIVES)
         for kind in available_loss_kinds():
             assert supports_loss_kind(kind), (
-                f"built-in loss kind {kind!r} has no vectorized sampler"
+                f"built-in loss kind {kind!r} lowers onto no primitive"
             )
+            assert loss_primitive(kind) in VECTOR_SAMPLERS
 
     def test_none_means_perfect(self):
         assert supports_loss_kind(None)
-        assert VECTOR_SAMPLERS[None] is VECTOR_SAMPLERS["perfect"]
+        assert loss_primitive(None) == loss_primitive("perfect") == "perfect"
 
 
 class TestConnectivityVectors:
@@ -381,20 +387,18 @@ class TestConnectivityVectors:
         return SpatialLoss(topology, sensitivity_dbm=-92.0)
 
     def test_spatial_close_positions_lossless(self):
-        from repro.mc.vectorized import _SpatialVector
 
         timeline = fake_timeline(20, 40)
-        sampler = _SpatialVector(
+        sampler = _IndependentVector(
             self.spatial_model(0.5), fake_program(), timeline, HOST
         )
         beacon, data = sampler.sample(trial_rngs(3, 2))
         assert beacon.all() and data.all()
 
     def test_spatial_far_positions_only_forced_bits(self):
-        from repro.mc.vectorized import _SpatialVector
 
         timeline = fake_timeline(20, 40)
-        sampler = _SpatialVector(
+        sampler = _IndependentVector(
             self.spatial_model(500.0), fake_program(), timeline, HOST
         )
         beacon, data = sampler.sample(trial_rngs(3, 2))
@@ -406,18 +410,17 @@ class TestConnectivityVectors:
         assert data.sum() == trials * timeline.num_slots  # sender bits only
 
     def test_matrix_trace_degenerate_channels(self):
-        from repro.mc.vectorized import _MatrixTraceVector
         from repro.runtime.loss import MatrixTraceLoss
 
         timeline = fake_timeline(6, 12)
-        open_channel = _MatrixTraceVector(
+        open_channel = _IndependentVector(
             MatrixTraceLoss(matrices=[{"pdr": {}, "default": 1.0}]),
             fake_program(), timeline, HOST,
         )
         beacon, data = open_channel.sample(trial_rngs(5, 2))
         assert beacon.all() and data.all()
 
-        closed = _MatrixTraceVector(
+        closed = _IndependentVector(
             MatrixTraceLoss(matrices=[{"pdr": {}, "default": 0.0}]),
             fake_program(), timeline, HOST,
         )
@@ -426,26 +429,24 @@ class TestConnectivityVectors:
         assert np.delete(beacon, HOST, axis=2).sum() == 0
 
     def test_time_varying_scaled_to_zero_is_lossless(self):
-        from repro.mc.vectorized import _TimeVaryingVector
         from repro.runtime.loss import TimeVaryingLoss
 
         model = TimeVaryingLoss(
             beacon_loss=0.5, data_loss=0.5, shape="ramp",
             ramp_rounds=5, scale_start=0.0, scale_end=0.0,
         )
-        sampler = _TimeVaryingVector(
+        sampler = _IndependentVector(
             model, fake_program(), fake_timeline(10, 20), HOST
         )
         beacon, data = sampler.sample(trial_rngs(9, 2))
         assert beacon.all() and data.all()
 
     def test_interference_blackout_rounds(self):
-        from repro.mc.vectorized import _InterferenceVector
         from repro.runtime.loss import InterferenceLoss
 
         timeline = fake_timeline(8, 16)
         model = InterferenceLoss(period=2, burst=1, jam_loss=1.0)
-        sampler = _InterferenceVector(model, fake_program(), timeline, HOST)
+        sampler = _IndependentVector(model, fake_program(), timeline, HOST)
         beacon, data = sampler.sample(trial_rngs(13, 2))
         jammed_rounds = np.array([model.jammed(r) for r in range(8)])
         free = np.delete(beacon, HOST, axis=2)

@@ -124,16 +124,6 @@ class TestTraceReplayOnEnd:
         with pytest.raises(TraceExhaustedError, match="empty beacon trace"):
             model.beacon_receivers("a", NODES)
 
-    def test_legacy_cycle_maps_to_on_end(self):
-        assert TraceReplayLoss(cycle=True).on_end == "wrap"
-        assert TraceReplayLoss(cycle=False).on_end == "perfect"
-        assert TraceReplayLoss(on_end="wrap").cycle is True
-        assert TraceReplayLoss(on_end="perfect").cycle is False
-
-    def test_cycle_and_on_end_conflict(self):
-        with pytest.raises(ValueError, match="mutually exclusive"):
-            TraceReplayLoss(cycle=True, on_end="wrap")
-
     def test_invalid_on_end_rejected_early(self):
         with pytest.raises(ValueError, match="on_end"):
             TraceReplayLoss(on_end="loop")

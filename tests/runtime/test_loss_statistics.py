@@ -147,18 +147,18 @@ class TestTraceReplay:
         model = TraceReplayLoss(
             beacon=[["n1", "n2"], ["n1"]],
             data=[["n2"]],
-            cycle=True,
+            on_end="wrap",
         )
         nodes = {"n1", "n2", "n3"}
         assert model.beacon_receivers("n0", nodes) == {"n0", "n1", "n2"}
         assert model.beacon_receivers("n0", nodes) == {"n0", "n1"}
-        # cycle=True wraps around.
+        # on_end="wrap" wraps around.
         assert model.beacon_receivers("n0", nodes) == {"n0", "n1", "n2"}
         assert model.data_receivers("n1", nodes, 8) == {"n1", "n2"}
         assert model.data_receivers("n1", nodes, 8) == {"n1", "n2"}
 
     def test_no_cycle_falls_back_to_perfect(self):
-        model = TraceReplayLoss(beacon=[["n1"]], cycle=False)
+        model = TraceReplayLoss(beacon=[["n1"]], on_end="perfect")
         nodes = {"n1", "n2"}
         model.beacon_receivers("n0", nodes)
         assert model.beacon_receivers("n0", nodes) == nodes
@@ -184,10 +184,6 @@ class TestTraceReplay:
         original = simulator(BernoulliLoss(0.2, 0.2, seed=3)).run(200.0)
         replay = simulator(TraceReplayLoss.from_trace(original)).run(200.0)
         assert summarize_trace(replay) == summarize_trace(original)
-
-    def test_rejects_bad_cycle(self):
-        with pytest.raises(ValueError, match="cycle must be a boolean"):
-            TraceReplayLoss(cycle="yes")
 
 
 class TestUniformSeeding:
@@ -260,6 +256,12 @@ class TestJsonBoundary:
     def test_unknown_parameter_lists_known_ones(self):
         with pytest.raises(ValueError, match="known: beacon_loss, data_loss, seed"):
             build_loss("bernoulli", {"p": 0.1})
+        # trace_replay's former ``cycle`` alias is an unknown name.
+        with pytest.raises(
+            ValueError,
+            match=r"unknown parameter\(s\) 'cycle'; known: beacon, data, on_end",
+        ):
+            build_loss("trace_replay", {"beacon": [["n1"]], "cycle": True})
 
     def test_invalid_value_is_not_reported_as_unknown_name(self):
         """A TypeError raised *inside* a constructor (bad value of a
