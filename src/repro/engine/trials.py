@@ -160,7 +160,7 @@ class TrialPool:
         build_context: Module-level function turning a JSON context
             dict into the worker-side shared context.
         run_task: Module-level function executing one task against a
-            context, returning a JSON-compatible result.
+            context, returning a picklable result.
         contexts: ``key -> context data`` for every context tasks may
             reference.
         jobs: Worker processes; ``1`` runs in-process (no executor).

@@ -56,24 +56,66 @@ from ..obs.events import emit
 from ..obs.metrics import timed_span
 from ..runtime.loss import build_loss, reseeded
 from ..runtime.trial import (
-    ENGINES,
+    TrialBatch,
     TrialResult,
     build_context,
+    check_engine,
     execute_trial,
     execute_trial_batch,
 )
 from .stats import CampaignStats
 
 
-@dataclass
 class PointResult:
-    """All trials of one scenario at one grid point, aggregated."""
+    """All trials of one scenario at one grid point, aggregated.
 
-    scenario: str
-    point: Dict[str, object]
-    seeds: List[Optional[int]]
-    stats: CampaignStats
-    trials: List[TrialResult] = field(default_factory=list)
+    The trials are kept as one columnar :class:`~repro.runtime.trial
+    .TrialBatch` (``batch``); :attr:`trials` builds their
+    :class:`~repro.runtime.trial.TrialResult` objects on first read.
+    Give either ``trials`` or ``batch``.
+    """
+
+    def __init__(
+        self,
+        scenario: str,
+        point: Dict[str, object],
+        seeds: List[Optional[int]],
+        stats: CampaignStats,
+        trials: Optional[List[TrialResult]] = None,
+        batch: Optional[TrialBatch] = None,
+    ) -> None:
+        self.scenario = scenario
+        self.point = point
+        self.seeds = seeds
+        self.stats = stats
+        self.batch = (
+            batch if batch is not None
+            else TrialBatch.from_results(trials or [])
+        )
+        self._trials = trials
+
+    @property
+    def trials(self) -> List[TrialResult]:
+        """The per-trial results, in seed order."""
+        if self._trials is None:
+            self._trials = self.batch.results()
+        return self._trials
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, PointResult):
+            return NotImplemented
+        return (
+            self.scenario, self.point, self.seeds, self.stats, self.trials
+        ) == (
+            other.scenario, other.point, other.seeds, other.stats,
+            other.trials,
+        )
+
+    def __repr__(self) -> str:
+        return (
+            f"PointResult(scenario={self.scenario!r}, point={self.point!r}, "
+            f"trials={len(self.batch)}, stats={self.stats!r})"
+        )
 
     def to_dict(self) -> dict:
         return {
@@ -337,10 +379,7 @@ def run_campaigns(
     """
     if not scenarios:
         raise ValueError("run_campaigns needs at least one scenario")
-    if engine not in ENGINES:
-        raise ValueError(
-            f"engine must be one of {', '.join(ENGINES)}, got {engine!r}"
-        )
+    check_engine(engine)
     for scenario in scenarios:
         scenario.validate()
         if scenario.simulation is None:
@@ -473,44 +512,45 @@ def run_campaigns(
     wall_seconds["simulation"] = simulate_span.seconds
 
     # Phase 3 — aggregation, grouped by (scenario, grid point).  Batch
-    # outcomes flatten to the same per-trial payload shape first.
+    # envelopes concatenate as columns; per-trial payloads (fast and
+    # reference campaigns) become one batch per grid point.
     with timed_span("aggregate") as aggregate_span:
-        flat: List[dict] = []
+        batches: Dict[Tuple[str, int], List[TrialBatch]] = {}
+        payloads: Dict[Tuple[str, int], List[TrialResult]] = {}
         fallback_reasons: Dict[str, str] = {}
         for outcome in outcomes:
-            flat.extend(outcome.get("results", [outcome]))
-            # Batch outcomes carry the reason at the envelope level —
-            # it would be lost in the per-trial flatten below.
-            reason = outcome.get("engine_reason")
-            if reason is not None and outcome.get("scenario") is not None:
-                fallback_reasons[outcome["scenario"]] = reason
-        grouped: Dict[Tuple[str, int], List[TrialResult]] = {}
-        for outcome in flat:
             key = (outcome["scenario"], outcome["point"])
-            grouped.setdefault(key, []).append(TrialResult.from_dict(outcome))
-            used = outcome.get("engine_used")
-            if used is not None:
-                result.engines[outcome["scenario"]] = used
+            if "batch" in outcome:
+                batches.setdefault(key, []).append(outcome["batch"])
+            else:
+                payloads.setdefault(key, []).append(
+                    TrialResult.from_dict(outcome)
+                )
+            result.engines[outcome["scenario"]] = outcome["engine_used"]
             reason = outcome.get("engine_reason")
             if reason is not None:
                 fallback_reasons[outcome["scenario"]] = reason
+        for key, trial_results in payloads.items():
+            batches[key] = [TrialBatch.from_results(trial_results)]
         for scenario in scenarios:
             if scenario.name not in contexts:
                 continue
             for point_index, point in enumerate(points):
-                trial_results = grouped.get((scenario.name, point_index), [])
-                stats_point = CampaignStats.aggregate(trial_results)
+                batch = TrialBatch.concat(
+                    batches.get((scenario.name, point_index), [])
+                )
+                stats_point = CampaignStats.aggregate(batch)
                 result.points.append(
                     PointResult(
                         scenario=scenario.name,
                         point=dict(point),
                         seeds=list(seeds_by_scenario[scenario.name]),
                         stats=stats_point,
-                        trials=trial_results,
+                        batch=batch,
                     )
                 )
                 emit("campaign.point.end", scenario=scenario.name,
-                     point=point_index, trials=len(trial_results),
+                     point=point_index, trials=len(batch),
                      collisions=stats_point.collisions)
     wall_seconds["aggregation"] = aggregate_span.seconds
 

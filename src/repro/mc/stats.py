@@ -2,8 +2,9 @@
 
 One simulated trace is a *sample*, not an evaluation: the paper's
 runtime claims (reliability under loss, energy per round, mode-change
-latency) are statistical.  This module turns a set of
-:class:`~repro.runtime.trial.TrialResult` samples into defensible
+latency) are statistical.  This module turns the trials of a grid
+point — one columnar :class:`~repro.runtime.trial.TrialBatch`, or a
+list of :class:`~repro.runtime.trial.TrialResult` — into defensible
 estimates:
 
 * **rates** (deadline-miss, delivery, chain success) come with Wilson
@@ -15,16 +16,20 @@ estimates:
   the average — is what real-time evaluation cares about.
 
 Everything here is plain arithmetic over the counts the trial workers
-return; no trace ever reaches this layer.
+return; no trace ever reaches this layer.  Counts are reduced as int64
+columns, and float sums keep the order of a per-trial loop, so the
+statistics are byte-identical however the trials are represented.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple, Union
 
-from ..runtime.trial import TrialResult
+import numpy as np
+
+from ..runtime.trial import TrialBatch, TrialResult
 
 #: z-score of the default 95 % confidence level.
 Z_95 = 1.959963984540054
@@ -213,8 +218,14 @@ class CampaignStats:
     rounds: int = 0
 
     @classmethod
-    def aggregate(cls, trials: Sequence[TrialResult]) -> "CampaignStats":
+    def aggregate(
+        cls, trials: Union[TrialBatch, Sequence[TrialResult]]
+    ) -> "CampaignStats":
         """Pool the counts of many trials into one estimate set.
+
+        ``trials`` is a :class:`~repro.runtime.trial.TrialBatch` or a
+        sequence of :class:`~repro.runtime.trial.TrialResult`, which is
+        converted to one first.
 
         Counts are pooled across trials, treating every message
         instance as one Bernoulli observation.  Instances from
@@ -229,56 +240,61 @@ class CampaignStats:
         on the uncertainty and increase ``trials``, which is the
         independent axis.
         """
-        stats = cls(n_trials=len(trials))
-        flow_counts: Dict[str, List[int]] = {}
-        chain_counts: Dict[str, List[int]] = {}
-        on_time_total = 0
-        delivered_total = 0
-        message_total = 0
-        beacon_heard = 0
-        beacon_expected = 0
-        radio_totals: List[float] = []
-        per_round: List[float] = []
-        switch_delays: List[float] = []
-        for trial in trials:
-            stats.collisions += trial.collisions
-            stats.rounds += trial.rounds
-            beacon_heard += trial.beacon_heard[0]
-            beacon_expected += trial.beacon_heard[1]
-            for flow, (on_time, delivered, total) in trial.messages.items():
-                entry = flow_counts.setdefault(flow, [0, 0])
-                entry[0] += on_time
-                entry[1] += total
-                on_time_total += on_time
-                delivered_total += delivered
-                message_total += total
-            for app, (complete, total) in trial.chains.items():
-                entry = chain_counts.setdefault(app, [0, 0])
-                entry[0] += complete
-                entry[1] += total
-            total_on = trial.total_radio_on()
-            radio_totals.append(total_on)
-            if trial.rounds:
-                per_round.append(total_on / trial.rounds)
-            switch_delays.extend(trial.switch_delays)
-        stats.flows = {
-            flow: RateEstimate(total - on_time, total)
-            for flow, (on_time, total) in sorted(flow_counts.items())
-        }
-        stats.miss = RateEstimate(message_total - on_time_total, message_total)
-        stats.delivery = RateEstimate(delivered_total, message_total)
-        stats.chain_miss = {
-            app: RateEstimate(total - complete, total)
-            for app, (complete, total) in sorted(chain_counts.items())
-        }
-        stats.beacon = RateEstimate(beacon_heard, beacon_expected)
-        if radio_totals and any(v > 0 for v in radio_totals):
-            stats.radio_on = DistSummary.from_values(radio_totals)
-        if per_round and any(v > 0 for v in per_round):
-            stats.radio_on_per_round = DistSummary.from_values(per_round)
-        if switch_delays:
-            stats.switch_delay = DistSummary.from_values(switch_delays)
-        return stats
+        batch = (
+            trials if isinstance(trials, TrialBatch)
+            else TrialBatch.from_results(trials)
+        )
+        on_time = batch.flow_on_time.sum(axis=0).tolist()
+        flow_total = batch.flow_total.sum(axis=0).tolist()
+        complete = batch.chain_complete.sum(axis=0).tolist()
+        chain_total = batch.chain_total.sum(axis=0).tolist()
+        message_total = sum(flow_total)
+        # A trial's radio total adds its nodes left to right in sorted
+        # order (TrialResult.total_radio_on); so do these columns.
+        radio_totals = np.zeros(len(batch))
+        for column in batch.radio_on.T:
+            radio_totals += column
+        ran = batch.rounds != 0
+        per_round = (radio_totals[ran] / batch.rounds[ran]).tolist()
+        radio_totals = radio_totals.tolist()
+        switch_delays = batch.switch_delays.tolist()
+
+        return cls(
+            n_trials=len(batch),
+            flows={
+                flow: RateEstimate(total - hits, total)
+                for flow, hits, total in sorted(
+                    zip(batch.flows, on_time, flow_total)
+                )
+            },
+            miss=RateEstimate(message_total - sum(on_time), message_total),
+            delivery=RateEstimate(
+                int(batch.flow_delivered.sum()), message_total
+            ),
+            chain_miss={
+                app: RateEstimate(total - hits, total)
+                for app, hits, total in sorted(
+                    zip(batch.apps, complete, chain_total)
+                )
+            },
+            beacon=RateEstimate(
+                int(batch.beacon_heard.sum()), int(batch.beacon_expected.sum())
+            ),
+            radio_on=(
+                DistSummary.from_values(radio_totals)
+                if any(v > 0 for v in radio_totals) else None
+            ),
+            radio_on_per_round=(
+                DistSummary.from_values(per_round)
+                if any(v > 0 for v in per_round) else None
+            ),
+            switch_delay=(
+                DistSummary.from_values(switch_delays)
+                if switch_delays else None
+            ),
+            collisions=int(batch.collisions.sum()),
+            rounds=int(batch.rounds.sum()),
+        )
 
     @classmethod
     def from_dict(cls, data: dict) -> "CampaignStats":

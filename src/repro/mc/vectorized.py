@@ -36,8 +36,11 @@ into three array-programming stages:
    delivery is an ``all`` over consumer bits, radio-on time is an
    integer participation count times the slot constants, chain
    completeness is an ``all`` over precomputed check-index matrices.
-   All reductions stay in integers until the final per-trial scalars,
-   so no chunking strategy can perturb a floating-point sum.
+   The result is a :class:`~repro.runtime.trial.TrialBatch` — one
+   column per statistic, filled straight from these arrays, with no
+   per-trial object.  All reductions stay in integers until the
+   radio-on columns, so no chunking strategy can perturb a
+   floating-point sum.
 
 The contract is **distribution equivalence, not bit identity**: the
 vectorized samplers draw from numpy streams, not the reference models'
@@ -50,8 +53,8 @@ structure, collisions) agrees statistically.
 testable; ``fast`` stays the bit-exact default engine.
 
 Within one seed the engine is fully deterministic: equal seeds give
-byte-identical :class:`~repro.runtime.trial.TrialResult`\\ s across
-repeated runs, ``jobs`` settings, and trial-batch splits.
+byte-identical trial statistics across repeated runs, ``jobs``
+settings, and trial-batch splits.
 
 Every loss kind that lowers onto a primitive and both node policies
 vectorize.  What is left falls back to ``reference`` (see
@@ -78,7 +81,7 @@ from ..runtime.loss import (
     loss_primitive,
 )
 from ..runtime.simulator import EPS, ModeRequest, NodePolicy
-from ..runtime.trial import TrialResult
+from ..runtime.trial import TrialBatch
 
 
 class VectorizeError(Exception):
@@ -884,13 +887,12 @@ def accumulate_trials(
     beacon: np.ndarray,
     data: np.ndarray,
     duration: float,
-) -> List[TrialResult]:
-    """Reduce the sampled bitmask tensors to one summary per trial.
+) -> TrialBatch:
+    """Reduce the sampled bitmask tensors to the trials' :class:`TrialBatch`.
 
     All reductions are integer (boolean sums, int64 participation
-    counts); floats appear only in the final per-trial scalar
-    conversions — which is why results cannot depend on how trials were
-    chunked into tensors.
+    counts); floats appear only in the radio-on columns — which is why
+    results cannot depend on how trials were chunked into tensors.
     """
     trials = beacon.shape[0]
     node_count = len(program.node_names)
@@ -904,17 +906,12 @@ def accumulate_trials(
     )
     on_time = delivered & timeline.slot_deadline_ok[None, :]
 
-    heard = beacon.sum(axis=(1, 2), dtype=np.int64)
-
-    per_flow = [
-        (
-            program.message_names[gid],
-            on_time[:, idx].sum(axis=1, dtype=np.int64),
-            delivered[:, idx].sum(axis=1, dtype=np.int64),
-            int(idx.size),
-        )
-        for gid, idx in timeline.flow_slots
-    ]
+    def per_flow(mask: np.ndarray) -> np.ndarray:
+        """``(T, F)`` count of ``mask`` over each flow's slots."""
+        columns = np.zeros((trials, len(timeline.flow_slots)), dtype=np.int64)
+        for j, (_gid, idx) in enumerate(timeline.flow_slots):
+            columns[:, j] = mask[:, idx].sum(axis=1)
+        return columns
 
     # Radio accounting: every node is on for every beacon; during data
     # slots the nodes that heard the round's beacon participate, plus
@@ -930,44 +927,51 @@ def accumulate_trials(
             + participation * program.radio_data_on
         )
     else:
-        radio = None
+        radio = np.zeros((trials, node_count))
 
     # Chain completeness: gather each instance's check slots from the
     # padded on-time matrix (column S = missing instance, S + 1 = pad).
     pad = np.zeros((trials, 2), dtype=bool)
     pad[:, 1] = True
     padded = np.concatenate([on_time, pad], axis=1)
-    per_chain = [
-        (app_name, padded[:, matrix].all(axis=2).sum(axis=1), total)
-        for app_name, total, matrix in timeline.chain_programs
-    ]
+    chain_complete = np.zeros(
+        (trials, len(timeline.chain_programs)), dtype=np.int64
+    )
+    for j, (_app, _total, matrix) in enumerate(timeline.chain_programs):
+        chain_complete[:, j] = padded[:, matrix].all(axis=2).sum(axis=1)
 
-    expected = node_count * timeline.num_rounds
-    switch_delays = list(timeline.switch_delays)
-    results = []
-    for t in range(trials):
-        result = TrialResult(duration=duration)
-        result.rounds = timeline.num_rounds
-        result.collisions = int(delivery.collisions[t])
-        result.beacon_heard = (int(heard[t]), expected)
-        result.messages = {
-            name: (int(on[t]), int(deliv[t]), total)
-            for name, on, deliv, total in per_flow
-        }
-        result.chains = {
-            app: (int(complete[t]), total)
-            for app, complete, total in per_chain
-        }
-        if radio is not None:
-            result.radio_on = {
-                name: float(radio[t, index])
-                for index, name in enumerate(program.node_names)
-            }
-        else:
-            result.radio_on = {name: 0.0 for name in program.node_names}
-        result.switch_delays = list(switch_delays)
-        results.append(result)
-    return results
+    def every_trial(values, dtype) -> np.ndarray:
+        """``(T, len(values))``: the same deterministic row per trial."""
+        return np.tile(np.asarray(values, dtype=dtype), (trials, 1))
+
+    return TrialBatch(
+        flows=tuple(
+            program.message_names[gid] for gid, _idx in timeline.flow_slots
+        ),
+        apps=tuple(app for app, _total, _m in timeline.chain_programs),
+        nodes=program.node_names,
+        rounds=np.full(trials, timeline.num_rounds, dtype=np.int64),
+        collisions=delivery.collisions,
+        beacon_heard=beacon.sum(axis=(1, 2), dtype=np.int64),
+        beacon_expected=np.full(
+            trials, node_count * timeline.num_rounds, dtype=np.int64
+        ),
+        flow_on_time=per_flow(on_time),
+        flow_delivered=per_flow(delivered),
+        flow_total=every_trial(
+            [idx.size for _gid, idx in timeline.flow_slots], np.int64
+        ),
+        chain_complete=chain_complete,
+        chain_total=every_trial(
+            [total for _app, total, _m in timeline.chain_programs], np.int64
+        ),
+        radio_on=radio,
+        switch_delays=every_trial(timeline.switch_delays, np.float64).ravel(),
+        switch_counts=np.full(
+            trials, len(timeline.switch_delays), dtype=np.int64
+        ),
+        duration=np.full(trials, duration, dtype=np.float64),
+    )
 
 
 def _normalize_seed(seed):
@@ -997,7 +1001,7 @@ def run_trials_vectorized(
     loss_kind: Optional[str],
     loss_params: Optional[dict],
     seeds: Sequence[Optional[int]],
-) -> List[TrialResult]:
+) -> TrialBatch:
     """Execute many trials of one scenario as one tensor program.
 
     Args:
@@ -1007,8 +1011,12 @@ def run_trials_vectorized(
             ``seed`` — seeds are the explicit last argument here.
         seeds: One seed per trial (``None`` draws OS entropy, like the
             reference models).  Each trial gets its own generator, so
-            the result list is byte-identical however the trials are
-            split across calls or processes.
+            the result is byte-identical however the trials are split
+            across calls or processes.
+
+    Returns:
+        The :class:`~repro.runtime.trial.TrialBatch` of the trials, in
+        ``seeds`` order.
 
     Raises:
         VectorizeError: when the scenario or loss kind is unsupported —
@@ -1044,15 +1052,15 @@ def run_trials_vectorized(
     )
     sampler = VECTOR_SAMPLERS[primitive](model, program, timeline, host_index)
 
-    results: List[TrialResult] = []
+    batches: List[TrialBatch] = []
     chunk = _chunk_size(program, timeline, sampler)
     for start in range(0, len(seeds), chunk):
-        batch = seeds[start : start + chunk]
         rngs = [
-            np.random.default_rng(_normalize_seed(seed)) for seed in batch
+            np.random.default_rng(_normalize_seed(seed))
+            for seed in seeds[start : start + chunk]
         ]
         beacon, data = sampler.sample(rngs)
-        results.extend(
+        batches.append(
             accumulate_trials(program, timeline, beacon, data, context.duration)
         )
-    return results
+    return TrialBatch.concat(batches)

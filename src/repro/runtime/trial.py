@@ -12,6 +12,9 @@ process pools:
 * :func:`execute_trial` runs **one seeded trial** against a context and
   returns a plain JSON dict, so results cross process boundaries in the
   same stable representation the rest of the engine uses;
+* :func:`execute_trial_batch` runs many seeded trials and returns them
+  as one :class:`TrialBatch` — per-trial counts as numpy columns,
+  which is what the campaign aggregator reduces;
 * :func:`summarize_trace` is the trace -> statistics reduction, shared
   with the in-process path so a pooled trial is *bit-identical* to the
   same seed run through ``Experiment.run(simulate=True)``.
@@ -35,7 +38,9 @@ the deployment.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from ..core.modes import Mode
 from ..net.topology import Topology, build_topology
@@ -104,8 +109,16 @@ class TrialResult:
 
     # -- derived rates ---------------------------------------------------
     def total_radio_on(self) -> float:
-        """Radio-on summed over nodes, in sorted-node order (stable)."""
-        return sum(self.radio_on[node] for node in sorted(self.radio_on))
+        """Radio-on summed over nodes, left to right in sorted-node order.
+
+        A plain loop, not ``sum``: ``sum`` compensates float rounding on
+        Python >= 3.12, and :meth:`~repro.mc.stats.CampaignStats.aggregate`
+        adds a :class:`TrialBatch`'s radio columns in exactly this order.
+        """
+        total = 0.0
+        for node in sorted(self.radio_on):
+            total += self.radio_on[node]
+        return total
 
     def message_counts(self) -> Tuple[int, int, int]:
         """``(on_time, delivered, total)`` summed over all flows."""
@@ -115,6 +128,201 @@ class TrialResult:
             delivered += counts[1]
             total += counts[2]
         return on_time, delivered, total
+
+
+def _union(key_sets) -> Tuple[str, ...]:
+    """Every key of ``key_sets``, in first-seen order."""
+    return tuple(dict.fromkeys(key for keys in key_sets for key in keys))
+
+
+def _widen(columns: np.ndarray, have: Tuple[str, ...],
+           want: Tuple[str, ...]) -> np.ndarray:
+    """``columns`` keyed by ``have``, re-keyed by ``want`` (missing: 0)."""
+    if have == want:
+        return columns
+    wide = np.zeros((columns.shape[0], len(want)), dtype=columns.dtype)
+    wide[:, [want.index(key) for key in have]] = columns
+    return wide
+
+
+@dataclass(eq=False)
+class TrialBatch:
+    """The statistics of many trials, one numpy column per field.
+
+    The columnar form of a list of :class:`TrialResult`: row ``t`` of
+    every per-trial array is trial ``t``.  The vectorized kernel fills
+    it straight from its tensors, pool workers return it as plain
+    arrays, and :meth:`~repro.mc.stats.CampaignStats.aggregate` reduces
+    it column by column; :meth:`results` is the only place that builds
+    per-trial objects.
+
+    Attributes:
+        flows: Flow names — the columns of the ``flow_*`` arrays.
+        apps: Application names — the columns of the ``chain_*`` arrays.
+        nodes: Node names, sorted — the columns of ``radio_on``.
+        rounds: ``(T,)`` int64 rounds executed.
+        collisions: ``(T,)`` int64 collided slots.
+        beacon_heard: ``(T,)`` int64 beacon receptions.
+        beacon_expected: ``(T,)`` int64 expected beacon receptions.
+        flow_on_time: ``(T, F)`` int64 on-time message instances.
+        flow_delivered: ``(T, F)`` int64 delivered message instances.
+        flow_total: ``(T, F)`` int64 message instances.
+        chain_complete: ``(T, A)`` int64 complete chain instances.
+        chain_total: ``(T, A)`` int64 chain instances.
+        radio_on: ``(T, N)`` float64 radio-on time per node (ms).
+        switch_delays: float64, every trial's switch delays back to
+            back, in trial order.
+        switch_counts: ``(T,)`` int64 how many of ``switch_delays``
+            belong to each trial.
+        duration: ``(T,)`` float64 simulated horizon (ms).
+    """
+
+    flows: Tuple[str, ...]
+    apps: Tuple[str, ...]
+    nodes: Tuple[str, ...]
+    rounds: np.ndarray
+    collisions: np.ndarray
+    beacon_heard: np.ndarray
+    beacon_expected: np.ndarray
+    flow_on_time: np.ndarray
+    flow_delivered: np.ndarray
+    flow_total: np.ndarray
+    chain_complete: np.ndarray
+    chain_total: np.ndarray
+    radio_on: np.ndarray
+    switch_delays: np.ndarray
+    switch_counts: np.ndarray
+    duration: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.rounds)
+
+    @classmethod
+    def from_results(cls, results: Sequence[TrialResult]) -> "TrialBatch":
+        """The columns of ``results``, over the union of their flow, app
+        and node keys; a trial without a key counts 0 there."""
+        flows = _union(result.messages for result in results)
+        apps = _union(result.chains for result in results)
+        nodes = tuple(sorted(_union(result.radio_on for result in results)))
+        count = len(results)
+        messages = np.array(
+            [[result.messages.get(flow, (0, 0, 0)) for flow in flows]
+             for result in results],
+            dtype=np.int64,
+        ).reshape(count, len(flows), 3)
+        chains = np.array(
+            [[result.chains.get(app, (0, 0)) for app in apps]
+             for result in results],
+            dtype=np.int64,
+        ).reshape(count, len(apps), 2)
+        beacon = np.array(
+            [result.beacon_heard for result in results], dtype=np.int64
+        ).reshape(count, 2)
+        return cls(
+            flows=flows,
+            apps=apps,
+            nodes=nodes,
+            rounds=np.array([r.rounds for r in results], dtype=np.int64),
+            collisions=np.array(
+                [r.collisions for r in results], dtype=np.int64
+            ),
+            beacon_heard=beacon[:, 0],
+            beacon_expected=beacon[:, 1],
+            flow_on_time=messages[:, :, 0],
+            flow_delivered=messages[:, :, 1],
+            flow_total=messages[:, :, 2],
+            chain_complete=chains[:, :, 0],
+            chain_total=chains[:, :, 1],
+            radio_on=np.array(
+                [[r.radio_on.get(node, 0.0) for node in nodes]
+                 for r in results],
+                dtype=np.float64,
+            ).reshape(count, len(nodes)),
+            switch_delays=np.array(
+                [delay for r in results for delay in r.switch_delays],
+                dtype=np.float64,
+            ),
+            switch_counts=np.array(
+                [len(r.switch_delays) for r in results], dtype=np.int64
+            ),
+            duration=np.array([r.duration for r in results], dtype=np.float64),
+        )
+
+    @classmethod
+    def concat(cls, batches: Sequence["TrialBatch"]) -> "TrialBatch":
+        """Every trial of ``batches``, in order, over the union of their
+        keys (missing columns count 0)."""
+        batches = [batch for batch in batches if len(batch)]
+        if not batches:
+            return cls.from_results([])
+        if len(batches) == 1:
+            return batches[0]
+        keys = {
+            "flows": _union(batch.flows for batch in batches),
+            "apps": _union(batch.apps for batch in batches),
+            "nodes": tuple(sorted(_union(batch.nodes for batch in batches))),
+        }
+
+        def stack(name: str, keyed_by: str = "") -> np.ndarray:
+            """Column ``name`` of every batch, re-keyed onto the union."""
+            return np.concatenate([
+                _widen(getattr(batch, name), getattr(batch, keyed_by),
+                       keys[keyed_by])
+                if keyed_by else getattr(batch, name)
+                for batch in batches
+            ])
+
+        return cls(
+            **keys,
+            rounds=stack("rounds"),
+            collisions=stack("collisions"),
+            beacon_heard=stack("beacon_heard"),
+            beacon_expected=stack("beacon_expected"),
+            flow_on_time=stack("flow_on_time", "flows"),
+            flow_delivered=stack("flow_delivered", "flows"),
+            flow_total=stack("flow_total", "flows"),
+            chain_complete=stack("chain_complete", "apps"),
+            chain_total=stack("chain_total", "apps"),
+            radio_on=stack("radio_on", "nodes"),
+            switch_delays=stack("switch_delays"),
+            switch_counts=stack("switch_counts"),
+            duration=stack("duration"),
+        )
+
+    def results(self) -> List[TrialResult]:
+        """One :class:`TrialResult` per trial, in order."""
+        delays = self.switch_delays.tolist()
+        ends = np.cumsum(self.switch_counts).tolist()
+        rows = zip(
+            self.rounds.tolist(),
+            self.collisions.tolist(),
+            self.beacon_heard.tolist(),
+            self.beacon_expected.tolist(),
+            self.flow_on_time.tolist(),
+            self.flow_delivered.tolist(),
+            self.flow_total.tolist(),
+            self.chain_complete.tolist(),
+            self.chain_total.tolist(),
+            self.radio_on.tolist(),
+            [0] + ends[:-1],
+            ends,
+            self.duration.tolist(),
+        )
+        return [
+            TrialResult(
+                rounds=rounds,
+                collisions=collisions,
+                beacon_heard=(heard, expected),
+                messages=dict(zip(self.flows, zip(on_time, delivered, total))),
+                chains=dict(zip(self.apps, zip(complete, chain_total))),
+                radio_on=dict(zip(self.nodes, radio)),
+                switch_delays=delays[first:last],
+                duration=duration,
+            )
+            for (rounds, collisions, heard, expected, on_time, delivered,
+                 total, complete, chain_total, radio, first, last,
+                 duration) in rows
+        ]
 
 
 def summarize_trace(trace: Trace) -> TrialResult:
@@ -294,6 +502,14 @@ def build_context(data: dict) -> TrialContext:
 ENGINES = ("fast", "vectorized", "reference")
 
 
+def check_engine(engine: str) -> None:
+    """Raise ``ValueError`` unless ``engine`` is one of :data:`ENGINES`."""
+    if engine not in ENGINES:
+        raise ValueError(
+            f"engine must be one of {', '.join(ENGINES)}, got {engine!r}"
+        )
+
+
 def trial_engine(
     context: TrialContext,
     loss_kind: Optional[str],
@@ -374,10 +590,7 @@ def run_trial(
             ``fast`` and ``reference`` are bit-identical wherever the
             fast path runs.
     """
-    if engine not in ENGINES:
-        raise ValueError(
-            f"engine must be one of {', '.join(ENGINES)}, got {engine!r}"
-        )
+    check_engine(engine)
     resolved = trial_engine(context, loss_kind, engine)
     if resolved == "vectorized":
         from ..mc.vectorized import run_trials_vectorized
@@ -389,7 +602,7 @@ def run_trial(
             loss_kind,
             params if loss_kind is not None else None,
             [seed],
-        )[0]
+        ).results()[0]
     loss = (
         build_loss(loss_kind, loss_params, context.topology)
         if loss_kind is not None
@@ -443,11 +656,9 @@ def execute_trial(context: TrialContext, task: dict) -> dict:
         engine=engine,
     )
     payload = result.to_dict()
-    resolved = (
-        trial_engine(context, kind, engine) if engine in ENGINES else engine
-    )
+    resolved = trial_engine(context, kind, engine)
     payload["engine_used"] = resolved
-    if engine in ENGINES and resolved != engine:
+    if resolved != engine:
         payload["engine_reason"] = fallback_reason(
             context, kind, engine, resolved
         )
@@ -469,48 +680,41 @@ def execute_trial_batch(context: TrialContext, task: dict) -> dict:
     to per-trial execution with the established per-trial reseeding,
     so results are bit-identical to the per-trial task path.
 
-    Returns ``{"scenario", "point", "engine_used", "results"}`` with
-    one :meth:`TrialResult.to_dict` payload per trial (bookkeeping
-    keys echoed into each), in input order.
+    Returns ``{"scenario", "point", "engine_used", "batch"}`` for every
+    engine — ``batch`` is the :class:`TrialBatch` of the trials, in
+    input order — plus ``engine_reason`` when the request fell back
+    (see :func:`fallback_reason`).
+
+    Raises:
+        ValueError: when ``engine`` is not one of :data:`ENGINES`.
     """
     loss = task.get("loss")
     kind = loss["kind"] if loss is not None else None
     base_params = dict(loss.get("params") or {}) if loss is not None else None
     engine = task.get("engine", "fast")
-    trials = task["trials"]
+    check_engine(engine)
+    seeds = [seed for _trial, seed in task["trials"]]
     resolved = trial_engine(context, kind, engine)
 
     if resolved == "vectorized":
         from ..mc.vectorized import run_trials_vectorized
 
-        results = run_trials_vectorized(
-            context, kind, base_params, [seed for _trial, seed in trials]
-        )
+        batch = run_trials_vectorized(context, kind, base_params, seeds)
     else:
         results = []
-        for _trial, seed in trials:
+        for seed in seeds:
             params = base_params
             if kind is not None and seed is not None:
                 params = reseeded(kind, base_params, seed)
             results.append(run_trial(context, kind, params, engine=resolved))
-
-    payloads = []
-    for (trial_index, seed), result in zip(trials, results):
-        payload = result.to_dict()
-        payload["trial"] = trial_index
-        payload["seed"] = seed
-        payload["engine_used"] = resolved
-        for key in ("point", "scenario"):
-            if key in task:
-                payload[key] = task[key]
-        payloads.append(payload)
+        batch = TrialBatch.from_results(results)
     outcome = {
         "scenario": task.get("scenario"),
         "point": task.get("point"),
         "engine_used": resolved,
-        "results": payloads,
+        "batch": batch,
     }
-    if engine in ENGINES and resolved != engine:
+    if resolved != engine:
         outcome["engine_reason"] = fallback_reason(
             context, kind, engine, resolved
         )

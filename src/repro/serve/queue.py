@@ -42,7 +42,7 @@ from ..mc.campaign import _point_loss, _resolve_seeds, scenario_context
 from ..mc.stats import CampaignStats
 from ..obs.events import emit
 from ..obs.metrics import timed_span
-from ..runtime.trial import ENGINES, TrialResult, build_context, execute_trial_batch
+from ..runtime.trial import ENGINES, TrialBatch
 from .dedup import DedupIndex, Execution, job_key
 from .jobs import TERMINAL, JobTable
 
@@ -485,7 +485,8 @@ class JobQueue:
         self._transition_all(execution, "simulating", trials_total=len(seeds))
         context_data = scenario_context(scenario, by_mode)
         context_key = candidate_key(scenario, {"context": "trial"}, [])
-        results: List[TrialResult] = []
+        batches: List[TrialBatch] = []
+        trials_done = 0
         engine_used: Optional[str] = None
         with timed_span("simulate"):
             for lo in range(0, len(seeds), self.trial_batch):
@@ -504,22 +505,20 @@ class JobQueue:
                     "engine": execution.engine,
                 }
                 outcome = self.pool.run(context_key, context_data, [task])[0]
-                engine_used = outcome.get("engine_used", engine_used)
-                results.extend(
-                    TrialResult.from_dict(payload)
-                    for payload in outcome["results"]
-                )
+                engine_used = outcome["engine_used"]
+                batches.append(outcome["batch"])
+                trials_done += len(outcome["batch"])
                 with self._condition:
                     self.trials_executed += len(batch)
                 self._progress_all(
                     execution,
-                    trials_done=len(results),
+                    trials_done=trials_done,
                     trials_total=len(seeds),
                     engine_used=engine_used,
                 )
 
         with timed_span("aggregate"):
-            stats = CampaignStats.aggregate(results)
+            stats = CampaignStats.aggregate(TrialBatch.concat(batches))
         record = _result_record(
             scenario, seeds, stats, total_latency, rounds,
             time.perf_counter() - started,
@@ -539,5 +538,5 @@ class JobQueue:
             )
         self._transition_all(
             execution, "done", result=record, cached=False,
-            trials_done=len(results), trials_total=len(seeds),
+            trials_done=trials_done, trials_total=len(seeds),
         )

@@ -6,10 +6,14 @@ The connectivity layer's JSON surface (positions in ``TopologySpec``,
 machinery without special cases.
 """
 
+from pathlib import Path
+
 from repro.api import LossSpec, RadioSpec, Scenario, SimulationSpec, TopologySpec
 from repro.core import Mode, SchedulingConfig
 from repro.core.app_model import Application
 from repro.dse import Axis, Space, explore
+
+REPO_ROOT = Path(__file__).resolve().parents[2]
 
 POSITIONS = {
     "n0": [0.0, 0.0], "n1": [12.0, 0.0], "n2": [12.0, 9.0], "n3": [0.0, 14.0],
@@ -103,7 +107,7 @@ class TestSpatialExploration:
              "--trials", "2", "--engine", "vectorized",
              "--cache-dir", str(tmp_path / "cache"),
              "--json", str(out)],
-            capture_output=True, text=True, cwd="/root/repo",
+            capture_output=True, text=True, cwd=REPO_ROOT,
             env={"PYTHONPATH": "src", "PATH": "/usr/bin:/bin"},
         )
         assert completed.returncode == 0, completed.stderr

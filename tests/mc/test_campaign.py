@@ -8,7 +8,7 @@ from repro.api import Experiment, LossSpec, Scenario, ScenarioError, SimulationS
 from repro.core import Mode, SchedulingConfig
 from repro.core.rng import derive_seed
 from repro.mc import CampaignResult, run_campaign, run_campaigns
-from repro.runtime.trial import summarize_trace
+from repro.runtime.trial import TrialResult, summarize_trace
 from repro.workloads import closed_loop_pipeline
 
 
@@ -128,6 +128,39 @@ class TestDeterminismAndIdentity:
             warm_start=True,
         )
         assert summarize_trace(legacy.trace) == campaign.points[0].trials[0]
+
+
+class TestColumnarResults:
+    def test_vectorized_campaign_builds_no_trial_results(self, monkeypatch):
+        """Kernel columns reach CampaignStats as a TrialBatch: no
+        TrialResult and no to_dict/from_dict until .trials is read."""
+        calls = {"init": 0, "to_dict": 0, "from_dict": 0}
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(
+            TrialResult, "__init__", counting("init", TrialResult.__init__)
+        )
+        monkeypatch.setattr(
+            TrialResult, "to_dict", counting("to_dict", TrialResult.to_dict)
+        )
+        monkeypatch.setattr(TrialResult, "from_dict", classmethod(
+            counting("from_dict", TrialResult.from_dict.__func__)
+        ))
+        result = run_campaign(make_scenario(), trials=5,
+                              sweep={"data_loss": [0.0, 0.1]},
+                              engine="vectorized")
+        assert result.engines == {"mc": "vectorized"}
+        assert result.points[1].stats.n_trials == 5
+        assert calls == {"init": 0, "to_dict": 0, "from_dict": 0}
+        trials = result.points[0].trials
+        assert len(trials) == 5
+        assert calls == {"init": 5, "to_dict": 0, "from_dict": 0}
+        assert result.points[0].trials is trials
 
 
 class TestSynthesisReuse:

@@ -686,7 +686,7 @@ class TestSingleTrialEntryPoints:
             context, "bernoulli",
             {"beacon_loss": 0.1, "data_loss": 0.1}, [42],
         )
-        assert single.to_dict() == batch[0].to_dict()
+        assert single.to_dict() == batch.results()[0].to_dict()
 
     def test_deterministic_quantities_match_reference_exactly(self):
         """Rounds, totals, deadline flags, switch delays — everything

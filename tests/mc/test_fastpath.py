@@ -28,6 +28,7 @@ from repro.runtime.simulator import NodePolicy
 from repro.runtime.trial import (
     build_context,
     execute_trial,
+    execute_trial_batch,
     run_trial,
     trial_engine,
 )
@@ -287,6 +288,10 @@ class TestFallback:
         context = context_for(switching_scenario(loss=None))
         with pytest.raises(ValueError, match="engine must be one of"):
             run_trial(context, None, None, engine="bogus")
+        with pytest.raises(ValueError, match="engine must be one of"):
+            execute_trial_batch(context, {
+                "trials": [(0, 1)], "loss": None, "engine": "bogus",
+            })
         with pytest.raises(ValueError, match="engine must be one of"):
             run_campaign(switching_scenario(
                 loss=LossSpec("bernoulli", {}),

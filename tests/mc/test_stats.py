@@ -1,13 +1,17 @@
 """Campaign statistics: Wilson intervals, percentiles, aggregation."""
 
+import dataclasses
+import json
 import math
+from typing import Dict, List
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.mc import CampaignStats, DistSummary, RateEstimate, percentile, wilson_interval
-from repro.runtime.trial import TrialResult
+from repro.runtime.trial import TrialBatch, TrialResult
 
 
 class TestWilsonInterval:
@@ -155,3 +159,179 @@ class TestCampaignStats:
         payload = json.loads(json.dumps(stats.to_dict()))
         assert payload["miss"]["total"] == 10
         assert payload["switch_delay"]["count"] == 1
+
+
+def reference_aggregate(trials):
+    """The per-trial aggregation loop that CampaignStats.aggregate
+    replaced with column sums — the reference it must reproduce byte
+    for byte."""
+    stats = CampaignStats(n_trials=len(trials))
+    flow_counts: Dict[str, List[int]] = {}
+    chain_counts: Dict[str, List[int]] = {}
+    on_time_total = 0
+    delivered_total = 0
+    message_total = 0
+    beacon_heard = 0
+    beacon_expected = 0
+    radio_totals: List[float] = []
+    per_round: List[float] = []
+    switch_delays: List[float] = []
+    for trial in trials:
+        stats.collisions += trial.collisions
+        stats.rounds += trial.rounds
+        beacon_heard += trial.beacon_heard[0]
+        beacon_expected += trial.beacon_heard[1]
+        for flow, (on_time, delivered, total) in trial.messages.items():
+            entry = flow_counts.setdefault(flow, [0, 0])
+            entry[0] += on_time
+            entry[1] += total
+            on_time_total += on_time
+            delivered_total += delivered
+            message_total += total
+        for app, (complete, total) in trial.chains.items():
+            entry = chain_counts.setdefault(app, [0, 0])
+            entry[0] += complete
+            entry[1] += total
+        total_on = trial.total_radio_on()
+        radio_totals.append(total_on)
+        if trial.rounds:
+            per_round.append(total_on / trial.rounds)
+        switch_delays.extend(trial.switch_delays)
+    stats.flows = {
+        flow: RateEstimate(total - on_time, total)
+        for flow, (on_time, total) in sorted(flow_counts.items())
+    }
+    stats.miss = RateEstimate(message_total - on_time_total, message_total)
+    stats.delivery = RateEstimate(delivered_total, message_total)
+    stats.chain_miss = {
+        app: RateEstimate(total - complete, total)
+        for app, (complete, total) in sorted(chain_counts.items())
+    }
+    stats.beacon = RateEstimate(beacon_heard, beacon_expected)
+    if radio_totals and any(v > 0 for v in radio_totals):
+        stats.radio_on = DistSummary.from_values(radio_totals)
+    if per_round and any(v > 0 for v in per_round):
+        stats.radio_on_per_round = DistSummary.from_values(per_round)
+    if switch_delays:
+        stats.switch_delay = DistSummary.from_values(switch_delays)
+    return stats
+
+
+@st.composite
+def counts(draw, width):
+    """``width`` nested counts ``(c_0 <= ... <= c_{width-1})``."""
+    values = [draw(st.integers(0, 40))]
+    for _ in range(width - 1):
+        values.insert(0, draw(st.integers(0, values[0])))
+    return tuple(values)
+
+
+RADIO_MS = st.one_of(
+    st.just(0.0), st.floats(0.0, 500.0, allow_nan=False, allow_infinity=False)
+)
+
+
+@st.composite
+def trial_results(draw, flows=None, apps=None, nodes=None):
+    """A TrialResult; key sets are drawn unless given."""
+    def keys(given_keys, pool):
+        if given_keys is not None:
+            return given_keys
+        return draw(st.lists(st.sampled_from(pool), unique=True, max_size=3))
+
+    return TrialResult(
+        rounds=draw(st.integers(0, 30)),
+        collisions=draw(st.integers(0, 5)),
+        beacon_heard=draw(counts(2)),
+        messages={f: draw(counts(3)) for f in keys(flows, ["m1", "m2", "m3"])},
+        chains={a: draw(counts(2)) for a in keys(apps, ["x", "y", "z"])},
+        radio_on={n: draw(RADIO_MS) for n in keys(nodes, ["n2", "n0", "n1"])},
+        switch_delays=draw(st.lists(
+            st.floats(0.0, 100.0, allow_nan=False), max_size=3
+        )),
+        duration=draw(st.floats(1.0, 1e4, allow_nan=False)),
+    )
+
+
+@st.composite
+def scenario_trials(draw):
+    """Trials sharing their flow, app and node keys, as every trial of
+    one scenario does (the host's timeline is deterministic)."""
+    def keys(pool):
+        return draw(st.lists(st.sampled_from(pool), unique=True, max_size=3))
+
+    flows, apps, nodes = keys(["m1", "m2"]), keys(["x", "y"]), keys(["n1", "n0"])
+    return draw(st.lists(
+        trial_results(flows=flows, apps=apps, nodes=nodes), max_size=6
+    ))
+
+
+def batch_columns(batch):
+    """Every field of a TrialBatch, arrays as ``(dtype, shape, values)``."""
+    return {
+        field.name: (
+            (value.dtype.str, value.shape, value.tolist())
+            if isinstance(value, np.ndarray) else value
+        )
+        for field in dataclasses.fields(batch)
+        for value in [getattr(batch, field.name)]
+    }
+
+
+def stats_json(stats):
+    return json.dumps(stats.to_dict(), sort_keys=True)
+
+
+class TestColumnarAggregate:
+    """CampaignStats.aggregate reduces TrialBatch columns; the numbers
+    must equal the per-trial reference loop exactly."""
+
+    @given(st.lists(trial_results(), max_size=8))
+    def test_matches_reference_loop_exactly(self, trials):
+        """Keys that differ between trials, zero-round trials, the
+        empty list and switch delays — no tolerance anywhere."""
+        expected = reference_aggregate(trials)
+        for given_trials in (trials, TrialBatch.from_results(trials)):
+            stats = CampaignStats.aggregate(given_trials)
+            assert stats.to_dict() == expected.to_dict()
+            assert stats_json(stats) == stats_json(expected)
+
+    @given(st.lists(trial_results(), max_size=8), st.data())
+    def test_concat_of_any_split_equals_whole(self, trials, data):
+        cuts = sorted(data.draw(st.lists(
+            st.integers(0, len(trials)), max_size=3
+        )))
+        bounds = [0, *cuts, len(trials)]
+        parts = [
+            TrialBatch.from_results(trials[lo:hi])
+            for lo, hi in zip(bounds, bounds[1:])
+        ]
+        whole = TrialBatch.from_results(trials)
+        assert batch_columns(TrialBatch.concat(parts)) == batch_columns(whole)
+
+    @given(scenario_trials())
+    def test_results_round_trip(self, trials):
+        assert TrialBatch.from_results(trials).results() == trials
+
+    def test_missing_keys_count_zero(self):
+        """A trial without a flow, app or node of another trial gets
+        zeros there; the statistics do not change."""
+        full = TrialResult(
+            rounds=4, beacon_heard=(3, 4), messages={"m": (1, 2, 3)},
+            chains={"x": (1, 1)}, radio_on={"n0": 1.5}, duration=10.0,
+        )
+        bare = TrialResult(rounds=2, beacon_heard=(1, 2), duration=10.0)
+        batch = TrialBatch.from_results([full, bare])
+        assert batch.flows == ("m",) and batch.nodes == ("n0",)
+        padded = batch.results()[1]
+        assert padded.messages == {"m": (0, 0, 0)}
+        assert padded.chains == {"x": (0, 0)}
+        assert padded.radio_on == {"n0": 0.0}
+        assert stats_json(CampaignStats.aggregate(batch)) == stats_json(
+            reference_aggregate([full, bare])
+        )
+
+    def test_empty_batch(self):
+        batch = TrialBatch.concat([])
+        assert len(batch) == 0 and batch.results() == []
+        assert batch.flows == batch.apps == batch.nodes == ()

@@ -34,6 +34,7 @@ from repro.mc.campaign import scenario_context
 from repro.mc.vectorized import VectorizeError, run_trials_vectorized
 from repro.runtime.loss import build_loss
 from repro.runtime.trial import (
+    TrialBatch,
     build_context,
     execute_trial,
     execute_trial_batch,
@@ -127,8 +128,8 @@ def glossy_context():
 
 
 class TestDeterminism:
-    def dicts(self, results):
-        return [result.to_dict() for result in results]
+    def dicts(self, batch):
+        return [result.to_dict() for result in batch.results()]
 
     def test_batch_split_invariance(self, gated_context):
         """One call over all seeds == any split of the seed list —
@@ -137,11 +138,14 @@ class TestDeterminism:
         whole = run_trials_vectorized(
             gated_context, "bernoulli", BERNOULLI, seeds
         )
-        split = run_trials_vectorized(
-            gated_context, "bernoulli", BERNOULLI, seeds[:3]
-        ) + run_trials_vectorized(
-            gated_context, "bernoulli", BERNOULLI, seeds[3:]
-        )
+        split = TrialBatch.concat([
+            run_trials_vectorized(
+                gated_context, "bernoulli", BERNOULLI, seeds[:3]
+            ),
+            run_trials_vectorized(
+                gated_context, "bernoulli", BERNOULLI, seeds[3:]
+            ),
+        ])
         assert self.dicts(whole) == self.dicts(split)
 
     def test_repeated_runs_identical(self, gated_context):
@@ -192,10 +196,10 @@ class TestDeterminism:
             context, kind, params = belief_context, "bernoulli", BELIEF
         seeds = list(range(10))
         whole = self.dicts(run_trials_vectorized(context, kind, params, seeds))
-        split = self.dicts(
-            run_trials_vectorized(context, kind, params, seeds[:2])
-            + run_trials_vectorized(context, kind, params, seeds[2:])
-        )
+        split = self.dicts(TrialBatch.concat([
+            run_trials_vectorized(context, kind, params, seeds[:2]),
+            run_trials_vectorized(context, kind, params, seeds[2:]),
+        ]))
         assert whole == split
         for budget in (1, 3 * 1024 * 1024):
             monkeypatch.setattr(vectorized_module, "TENSOR_BUDGET_BYTES",
@@ -227,7 +231,7 @@ class TestDeterminism:
             gated_context, "bernoulli", BERNOULLI, [None, None]
         )
         assert len(results) == 2
-        assert all(result.rounds > 0 for result in results)
+        assert all(result.rounds > 0 for result in results.results())
 
     def make_scenario(self):
         return switching_scenario(
@@ -405,17 +409,12 @@ class TestExecutors:
         direct = run_trials_vectorized(
             context, "bernoulli", dict(BERNOULLI), [21, 22, 23]
         )
-        assert len(outcome["results"]) == 3
-        for index, (payload, result) in enumerate(
-            zip(outcome["results"], direct)
-        ):
-            assert payload["trial"] == index
-            assert payload["seed"] == 21 + index
-            assert payload["engine_used"] == "vectorized"
-            assert payload["point"] == 1
-            assert payload["scenario"] == "switchy"
-            expected = result.to_dict()
-            assert {k: payload[k] for k in expected} == expected
+        assert set(outcome) == {"scenario", "point", "engine_used", "batch"}
+        assert outcome["point"] == 1 and outcome["scenario"] == "switchy"
+        assert len(outcome["batch"]) == 3
+        assert [r.to_dict() for r in outcome["batch"].results()] == [
+            r.to_dict() for r in direct.results()
+        ]
 
     def test_batch_scalar_fallback_is_bit_identical(self):
         """When the request falls back to a scalar engine, the batch path
@@ -432,13 +431,14 @@ class TestExecutors:
         })
         assert outcome["engine_used"] == "reference"
         assert "base_station" in outcome["engine_reason"]
-        for payload, seed in zip(outcome["results"], [5, 6]):
+        for result, seed in zip(outcome["batch"].results(), [5, 6]):
             per_trial = execute_trial(context, {
                 "loss": {"kind": "bernoulli",
                          "params": dict(BERNOULLI, seed=seed)},
                 "engine": "reference",
             })
-            assert payload["engine_used"] == "reference"
+            assert per_trial["engine_used"] == "reference"
+            payload = result.to_dict()
             for key in ("messages", "rounds", "radio_on", "chains"):
                 assert payload[key] == per_trial[key]
 

@@ -17,6 +17,7 @@ The connectivity layer's contracts, checked over randomized inputs:
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -25,6 +26,8 @@ from hypothesis import strategies as st
 from repro.mc import wilson_interval
 from repro.net import build_topology, grid2d, uniform_random
 from repro.runtime import SpatialLoss
+
+REPO_ROOT = Path(__file__).resolve().parents[2]
 
 # Link distances of 9-14 m sit on the PDR waterfall at these radio
 # parameters; the defaults put 30 m links at PDR 0.
@@ -106,10 +109,12 @@ class TestSymmetry:
 
 class TestCalibration:
     @given(seed=st.integers(0, 2**32))
-    @settings(max_examples=10, deadline=None)
+    @settings(max_examples=10, deadline=None, derandomize=True)
     def test_link_hit_rates_inside_wilson_ci(self, seed):
         """Realized per-link reception frequencies match the matrix PDR
-        at the 99.9 % level (z = 3.29)."""
+        at the 99.9 % level (z = 3.29).  The seeds are pinned
+        (``derandomize``): 30 comparisons at 99.9 % each fail about one
+        random draw in a hundred, which made tier-1 runs flaky."""
         topo = spatial_topology()
         model = SpatialLoss(topo, shadowing_db=3.0, shadowing_seed=5,
                             seed=seed, **RADIO)
@@ -157,7 +162,7 @@ class TestDeterminism:
                 text=True,
                 check=True,
                 env={"PYTHONPATH": "src", "PYTHONHASHSEED": str(hash_seed)},
-                cwd="/root/repo",
+                cwd=REPO_ROOT,
             ).stdout
             for hash_seed in ("0", "1")
         ]

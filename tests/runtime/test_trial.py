@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core import Mode, SchedulingConfig, synthesize
-from repro.engine.trials import TrialPool, default_chunk_size
+from repro.engine.trials import ResidentPool, TrialPool, default_chunk_size
 from repro.io import mode_to_dict, schedule_to_dict
 from repro.runtime import build_deployment
 from repro.runtime.simulator import RuntimeSimulator
@@ -16,9 +16,11 @@ from repro.runtime.trace import (
     Trace,
 )
 from repro.runtime.trial import (
+    ENGINES,
     TrialResult,
     build_context,
     execute_trial,
+    execute_trial_batch,
     run_trial,
     summarize_trace,
 )
@@ -209,6 +211,32 @@ class TestTrialPool:
             TrialPool(build_context, execute_trial, {}, jobs=0)
         with pytest.raises(ValueError, match="chunk_size"):
             TrialPool(build_context, execute_trial, {}, jobs=2, chunk_size=0)
+
+
+class TestBatchEnvelope:
+    def test_resident_pool_ships_batches_across_processes(self):
+        """The daemon's ``--workers 2`` path: TrialBatch envelopes
+        pickled out of pool workers equal the in-process ones, for
+        every engine."""
+        loss = {"kind": "bernoulli",
+                "params": {"beacon_loss": 0.1, "data_loss": 0.1}}
+        tasks = [
+            {"scenario": "s", "point": index, "loss": loss,
+             "engine": engine, "trials": [(0, 3), (1, 4)]}
+            for index, engine in enumerate(ENGINES)
+        ]
+        data = trial_context_data()
+        with ResidentPool(build_context, execute_trial_batch) as local, \
+                ResidentPool(build_context, execute_trial_batch,
+                             jobs=2) as pooled:
+            expected = local.run("ctx", data, tasks)
+            shipped = pooled.run("ctx", data, tasks, chunk_size=1)
+        for task, want, got in zip(tasks, expected, shipped):
+            assert set(got) == {"scenario", "point", "engine_used", "batch"}
+            assert got["engine_used"] == want["engine_used"] == task["engine"]
+            assert got["point"] == task["point"]
+            assert len(got["batch"]) == 2
+            assert got["batch"].results() == want["batch"].results()
 
 
 class TestChunkSizing:
