@@ -22,7 +22,7 @@ import pytest
 
 from repro.analysis import format_table
 from repro.core import SchedulingConfig, synthesize
-from repro.engine import SynthesisEngine
+from repro.engine import EngineStats, ScheduleCache, run_cached_batch
 from repro.workloads import GeneratorConfig, WorkloadGenerator
 
 NUM_MODES = 3
@@ -54,12 +54,16 @@ def test_bench_parallel_synthesis(benchmark, tmp_path, capsys, bench_record):
 
     def engine_sweep():
         started = time.monotonic()
-        engine = SynthesisEngine(config, jobs=jobs,
-                                 cache_dir=tmp_path / "cache")
+        cache = ScheduleCache(tmp_path / "cache")
+        stats = EngineStats()
         results = {}
         for _ in range(SWEEP_PASSES):
-            results = engine.synthesize_many(modes)
-        return results, engine.stats, time.monotonic() - started
+            schedules = run_cached_batch(
+                [(mode, config) for mode in modes],
+                jobs=jobs, cache=cache, stats=stats,
+            )
+            results = {m.name: s for m, s in zip(modes, schedules)}
+        return results, stats, time.monotonic() - started
 
     sequential, t_seq = sequential_sweep()
     (engine_results, stats, t_engine) = benchmark.pedantic(

@@ -46,7 +46,6 @@ from .scenario import (
     ScenarioError,
     SimulationSpec,
     TopologySpec,
-    sweep,
 )
 
 __all__ = [
@@ -60,5 +59,4 @@ __all__ = [
     "SimulationSpec",
     "TopologySpec",
     "run_scenario",
-    "sweep",
 ]

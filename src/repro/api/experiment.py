@@ -67,16 +67,8 @@ class ScenarioResult:
 
 
 def _build_system(scenario: Scenario, schedules: Dict[str, ModeSchedule]):
-    from ..runtime.deployment import build_deployment
-
     system = scenario.to_system()
-    for mode in system.modes:
-        schedule = schedules[mode.name]
-        system.schedules[mode.name] = schedule
-        assert mode.mode_id is not None
-        system.deployments[mode.mode_id] = build_deployment(
-            mode, schedule, mode.mode_id
-        )
+    system.install_schedules(schedules)
     return system
 
 
@@ -93,9 +85,10 @@ def synthesize_scenarios(
     Validates the scenarios, flattens every mode of every scenario into
     **one** cached batch (so identical problems are solved once across
     the whole set), and optionally verifies each schedule with the
-    independent oracle.  Both :meth:`Experiment.run` and the
-    Monte-Carlo campaign layer (:func:`repro.mc.run_campaigns`) sit on
-    top of this.
+    independent oracle.  :meth:`Experiment.run`,
+    :meth:`repro.system.TTWSystem.synthesize_all`, the Monte-Carlo
+    campaign layer (:func:`repro.mc.run_campaigns`), exploration and
+    the service all sit on top of this.
 
     Returns:
         ``(schedules, reports, stats)`` — schedule and verification
@@ -220,7 +213,7 @@ class Experiment:
         cache_dir: "Optional[str | Path]" = None,
         warm_start: bool = True,
     ) -> None:
-        if not isinstance(jobs, int) or jobs < 1:
+        if not isinstance(jobs, int) or isinstance(jobs, bool) or jobs < 1:
             raise ValueError(
                 f"jobs must be an integer >= 1, got {jobs!r}"
             )

@@ -39,7 +39,7 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..core.modes import Mode
 from ..core.schedule import SchedulingConfig
@@ -339,23 +339,13 @@ class Scenario:
             return None
         return self.radio.build(topology)
 
-    def to_system(
-        self,
-        jobs: int = 1,
-        cache_dir=None,
-        warm_start: bool = False,
-    ):
+    def to_system(self):
         """An (unsynthesized) :class:`repro.system.TTWSystem` for this
         scenario — modes registered, transitions allowed."""
         from ..system import TTWSystem
 
         self.validate()
-        system = TTWSystem(
-            self.effective_config,
-            warm_start=warm_start,
-            jobs=jobs,
-            cache_dir=cache_dir,
-        )
+        system = TTWSystem(self.effective_config)
         for mode in self.modes:
             system.add_mode(mode)
         for source, target in self.transitions:
@@ -408,53 +398,3 @@ class Scenario:
         from .experiment import run_scenario
 
         return run_scenario(self, **kwargs)
-
-
-def sweep(
-    base: Scenario,
-    **field_values: Sequence,
-) -> List[Scenario]:
-    """Derive scenario variants from ``base`` by varying one field.
-
-    .. deprecated::
-        ``sweep()`` is a thin shim over the design-space explorer
-        (:mod:`repro.dse`): declare a :class:`repro.dse.Space` with an
-        axis per knob and use :func:`repro.dse.explore` (or
-        ``Experiment.explore()``) instead — it adds multi-axis grids,
-        adaptive sampling, Pareto fronts, and a resumable result
-        store.  The shim keeps the PR 2 behavior bit-identical:
-        exactly one Scenario field, variants named ``<base.name>-<i>``,
-        no validation of the derived scenarios, no store.  (Sweeping
-        ``name`` was never functional — it used to raise ``TypeError``
-        on a duplicate keyword; it now raises :class:`ScenarioError`
-        with an explanation.)
-
-    Example::
-
-        variants = sweep(base, backend=["highs", "bnb", "greedy"])
-    """
-    import warnings
-
-    warnings.warn(
-        "repro.api.sweep() is deprecated; declare a repro.dse.Space and "
-        "use repro.dse.explore() / Experiment.explore() (see "
-        "docs/EXPLORATION.md)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    if len(field_values) != 1:
-        raise ScenarioError("sweep() varies exactly one field at a time")
-    (field_name, values), = field_values.items()
-    if field_name not in {f.name for f in dataclasses.fields(Scenario)}:
-        raise ScenarioError(f"unknown Scenario field {field_name!r}")
-    from ..dse.space import SpaceError, apply_target
-
-    try:
-        return [
-            dataclasses.replace(
-                apply_target(base, field_name, value), name=f"{base.name}-{i}"
-            )
-            for i, value in enumerate(values)
-        ]
-    except SpaceError as exc:
-        raise ScenarioError(str(exc)) from None

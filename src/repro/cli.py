@@ -43,19 +43,17 @@ Commands:
 * ``simulate`` — execute a system file for a given duration and print
   trace statistics;
 * ``figures``  — print the paper's Fig. 6 / Fig. 7 data;
-* ``gantt``    — render a mode's schedule as an ASCII chart;
-* ``synth`` / ``batch`` — deprecated shims over the scenario runner,
-  kept for the legacy workload-spec format (see below).
+* ``gantt``    — render a mode's schedule as an ASCII chart.
 
-``scenario run|sweep``, ``synth``, and ``batch`` accept ``--jobs N``
-(speculative parallel Algorithm 1 over N worker processes),
-``--cache-dir DIR`` (persistent content-addressed schedule cache), and
-``--backend NAME`` (solver backend: ``highs``, ``bnb``, ``greedy``, or
-any registered name; the backend is part of the cache key).
+``scenario run|sweep|mc|explore`` accept ``--jobs N`` (speculative
+parallel Algorithm 1 over N worker processes), ``--cache-dir DIR``
+(persistent content-addressed schedule cache), and ``--backend NAME``
+(solver backend: ``highs``, ``bnb``, ``greedy``, or any registered
+name; the backend is part of the cache key).
 
 A scenario file is the JSON image of :class:`repro.api.Scenario` (see
-``Scenario.save``); ``scenario run`` also accepts the legacy workload
-spec — a ``config`` record plus a ``modes`` list::
+``Scenario.save``); every ``scenario`` command also accepts the legacy
+workload spec — a ``config`` record plus a ``modes`` list::
 
     {
       "config": {"round_length": 50.0, "slots_per_round": 5,
@@ -81,40 +79,9 @@ from .analysis import (
     render_gantt,
 )
 from .api import Experiment, Scenario, ScenarioError
-from .io.serialize import (
-    SerializationError,
-    config_from_dict,
-    mode_from_dict,
-    save_system,
-    scenario_from_dict,
-)
+from .io.serialize import SerializationError, read_json_object, save_system
 from .milp import available_backends
 from .system import TTWSystem
-
-
-def _deprecated(old: str, new: str) -> None:
-    print(
-        f"warning: `{old}` is deprecated; use `{new}` (see docs/API.md)",
-        file=sys.stderr,
-    )
-
-
-def _load_scenario_file(path: str) -> Scenario:
-    """Read a scenario file; legacy workload specs are adapted."""
-    payload = json.loads(Path(path).read_text())
-    if payload.get("kind") == "scenario":
-        return scenario_from_dict(payload)
-    if "config" in payload and "modes" in payload:
-        # Legacy workload spec: config + modes, no network/simulation.
-        return Scenario(
-            name=Path(path).stem,
-            modes=[mode_from_dict(record) for record in payload["modes"]],
-            config=config_from_dict(payload["config"]),
-        )
-    raise SerializationError(
-        f"{path}: neither a scenario file (kind='scenario') nor a legacy "
-        f"workload spec (config + modes)"
-    )
 
 
 def _apply_overrides(scenario: Scenario, args: argparse.Namespace) -> Scenario:
@@ -130,8 +97,8 @@ def _apply_overrides(scenario: Scenario, args: argparse.Namespace) -> Scenario:
     return scenario
 
 
-def _print_scenario_result(result, verbose_sim: bool = True) -> int:
-    """Shared result reporting; returns the exit code contribution."""
+def _print_scenario_result(result) -> int:
+    """Print schedules, violations and trace stats; returns the failures."""
     failures = 0
     for name, schedule in sorted(result.schedules.items()):
         print(
@@ -144,7 +111,7 @@ def _print_scenario_result(result, verbose_sim: bool = True) -> int:
                 f"mode {name!r}: VIOLATION {violation}", file=sys.stderr
             )
             failures += 1
-    if result.trace is not None and verbose_sim:
+    if result.trace is not None:
         trace = result.trace
         print(
             f"simulated {result.scenario.simulation.duration:g}: "
@@ -160,7 +127,7 @@ def _print_scenario_result(result, verbose_sim: bool = True) -> int:
 
 
 def _cmd_scenario_run(args: argparse.Namespace) -> int:
-    scenario = _apply_overrides(_load_scenario_file(args.scenario), args)
+    scenario = _apply_overrides(Scenario.load(args.scenario), args)
     experiment = Experiment(
         [scenario],
         jobs=args.jobs,
@@ -191,7 +158,7 @@ def _cmd_scenario_sweep(args: argparse.Namespace) -> int:
     scenarios = []
     seen: dict = {}
     for path in args.scenarios:
-        scenario = _apply_overrides(_load_scenario_file(path), args)
+        scenario = _apply_overrides(Scenario.load(path), args)
         # Disambiguate duplicate names across files (common for sweeps
         # generated from one template).
         count = seen.get(scenario.name, 0)
@@ -312,7 +279,7 @@ def _cmd_scenario_mc(args: argparse.Namespace) -> int:
                 )
                 return 2
             sweep[name] = values
-    scenario = _apply_overrides(_load_scenario_file(args.scenario), args)
+    scenario = _apply_overrides(Scenario.load(args.scenario), args)
     log = _open_run_log(args)
     try:
         result = run_campaign(
@@ -392,14 +359,14 @@ def _load_space_file(path: str, args: argparse.Namespace):
     """Build the exploration space from a space or scenario file."""
     from .dse import Axis, Space
 
-    payload = json.loads(Path(path).read_text())
+    payload = read_json_object(path)
     if payload.get("kind") == "space":
         space = Space.from_dict(payload)
         base = _apply_overrides(space.base, args)
         axes = list(space.axes)
         derive = space.derive
     else:
-        base = _apply_overrides(_load_scenario_file(path), args)
+        base = _apply_overrides(Scenario.load(path), args)
         axes = []
         derive = None
     for name, values in args.axis or []:
@@ -575,7 +542,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 def _cmd_scenario_submit(args: argparse.Namespace) -> int:
     from .serve.client import ServiceClient, ServiceError, ServiceUnavailable
 
-    scenario = _apply_overrides(_load_scenario_file(args.scenario), args)
+    scenario = _apply_overrides(Scenario.load(args.scenario), args)
     client = ServiceClient(args.url, timeout=args.timeout)
     try:
         job = client.submit(
@@ -687,112 +654,6 @@ def _cmd_logs(args: argparse.Namespace) -> int:
         for error in story["errors"]:
             print(f"shard error: {error}", file=sys.stderr)
     return 0
-
-
-# -- legacy shims ------------------------------------------------------------
-
-
-def _cmd_synth(args: argparse.Namespace) -> int:
-    _deprecated("synth", "scenario run")
-    scenario = _apply_overrides(_load_scenario_file(args.workload), args)
-    experiment = Experiment(
-        [scenario],
-        jobs=args.jobs,
-        cache_dir=args.cache_dir,
-        warm_start=args.warm_start,
-    )
-    outcome = experiment.run(simulate=False)
-    result = outcome.results[0]
-    failures = _print_scenario_result(result)
-    if failures:
-        return 1
-    if outcome.stats is not None and args.cache_dir is not None:
-        print(f"engine: {outcome.stats}")
-    save_system(
-        args.output,
-        scenario.modes,
-        result.schedules,
-        transitions=scenario.transitions,
-    )
-    print(f"wrote {args.output}")
-    return 0
-
-
-def _batch_output_paths(workloads: List[str], output_dir: Path) -> List[Path]:
-    """One output path per workload file, disambiguating equal stems."""
-    paths: List[Path] = []
-    used: dict = {}
-    for workload in workloads:
-        stem = Path(workload).stem
-        count = used.get(stem, 0)
-        used[stem] = count + 1
-        suffix = f"-{count + 1}" if count else ""
-        paths.append(output_dir / f"{stem}{suffix}.system.json")
-    return paths
-
-
-def _cmd_batch(args: argparse.Namespace) -> int:
-    _deprecated("batch", "scenario sweep")
-    output_dir = Path(args.output_dir)
-    output_dir.mkdir(parents=True, exist_ok=True)
-    outputs = _batch_output_paths(args.workloads, output_dir)
-
-    # One scenario per workload file; the Experiment shares one pool and
-    # cache across all of them and dedupes identical problems.
-    scenarios = []
-    for workload, out in zip(args.workloads, outputs):
-        scenario = _apply_overrides(_load_scenario_file(workload), args)
-        scenario = dataclasses.replace(
-            scenario, name=out.name[: -len(".system.json")]
-        )
-        scenario.validate()
-        scenarios.append(scenario)
-
-    experiment = Experiment(
-        scenarios,
-        jobs=args.jobs,
-        cache_dir=args.cache_dir,
-        warm_start=not args.no_warm_start,
-    )
-    outcome = experiment.run(simulate=False)
-
-    failures = 0
-    total_modes = 0
-    for workload, out, result in zip(args.workloads, outputs, outcome):
-        total_modes += len(result.schedules)
-        file_failures = 0
-        for mode in result.scenario.modes:
-            report = result.reports[mode.name]
-            if not report.ok:
-                for violation in report.violations:
-                    print(
-                        f"{Path(workload).name} :: mode {mode.name!r}: "
-                        f"VIOLATION {violation}",
-                        file=sys.stderr,
-                    )
-                file_failures += 1
-                continue
-            schedule = result.schedules[mode.name]
-            print(
-                f"{Path(workload).name} :: mode {mode.name!r}: "
-                f"{schedule.num_rounds} rounds, "
-                f"total latency {schedule.total_latency:.3f}"
-            )
-        if file_failures:
-            failures += file_failures
-            continue  # don't write a partial/unverified system file
-        save_system(
-            out,
-            result.scenario.modes,
-            result.schedules,
-            transitions=result.scenario.transitions,
-        )
-        print(f"wrote {out}")
-    print(
-        f"batch done: {total_modes} mode(s) from {len(args.workloads)} "
-        f"workload file(s), engine: {outcome.stats}"
-    )
-    return 1 if failures else 0
 
 
 # -- inspection commands ------------------------------------------------------
@@ -1181,32 +1042,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "file, see `repro logs`) for the daemon's "
                             "lifetime into this directory")
     serve.set_defaults(func=_cmd_serve)
-
-    synth = sub.add_parser(
-        "synth", help="[deprecated: use `scenario run`] synthesize schedules"
-    )
-    synth.add_argument("workload", help="workload spec JSON")
-    synth.add_argument("-o", "--output", default="system.json")
-    synth.add_argument("--warm-start", action="store_true",
-                       help="start Algorithm 1 at the demand lower bound "
-                            "(default: off — the paper's exact loop)")
-    _add_engine_flags(synth)
-    synth.set_defaults(func=_cmd_synth)
-
-    batch = sub.add_parser(
-        "batch",
-        help="[deprecated: use `scenario sweep`] synthesize many workload "
-             "files over one pool/cache",
-    )
-    batch.add_argument("workloads", nargs="+", help="workload spec JSON files")
-    batch.add_argument("-O", "--output-dir", default=".",
-                       help="directory for <stem>.system.json outputs")
-    batch.add_argument("--no-warm-start", action="store_true",
-                       help="disable the demand-bound warm start "
-                            "(batch defaults to warm starts ON, unlike "
-                            "synth; schedules are identical either way)")
-    _add_engine_flags(batch)
-    batch.set_defaults(func=_cmd_batch)
 
     verify = sub.add_parser("verify", help="verify a system file")
     verify.add_argument("system")

@@ -259,9 +259,9 @@ def _candidate_key(
 ) -> str:
     """The store key — with an in-memory fallback for non-JSON axes.
 
-    Axis values that are not JSON-serializable (spec dataclasses, the
-    ``sweep()``-style whole-field replacements) cannot be content-
-    hashed for a *persistent* store, but a purely in-memory
+    Axis values that are not JSON-serializable (spec dataclasses as
+    whole-field replacements) cannot be content-hashed for a
+    *persistent* store, but a purely in-memory
     exploration still needs a dedup key: fall back to a repr-based
     hash, which is stable within the process — exactly the lifetime of
     a :class:`MemoryStore`.

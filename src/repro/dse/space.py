@@ -49,6 +49,7 @@ from ..io.serialize import (
     SerializationError,
     mode_from_dict,
     mode_to_dict,
+    read_json_object,
     scenario_from_dict,
     scenario_to_dict,
 )
@@ -320,8 +321,8 @@ class Axis:
         target: Transform applied per value (see :func:`apply_target`).
         values: The values the axis ranges over, in exploration order.
             JSON-serializable values round-trip through ``Space.save``;
-            arbitrary objects work in memory (the ``sweep()`` shim
-            passes spec dataclasses).
+            arbitrary objects (e.g. spec dataclasses replacing a whole
+            scenario field) work in memory.
     """
 
     name: str
@@ -500,6 +501,10 @@ class Space:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Space":
+        if not isinstance(data, dict):
+            raise SerializationError(
+                f"space must be a JSON object, got {type(data).__name__}"
+            )
         if data.get("kind") != "space":
             raise SerializationError(
                 f"not a space record (kind={data.get('kind')!r})"
@@ -527,8 +532,4 @@ class Space:
 
     @classmethod
     def load(cls, path: "str | Path") -> "Space":
-        try:
-            payload = json.loads(Path(path).read_text())
-        except json.JSONDecodeError as exc:
-            raise SerializationError(f"not valid JSON: {exc}") from exc
-        return cls.from_dict(payload)
+        return cls.from_dict(read_json_object(path))

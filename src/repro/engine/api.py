@@ -1,34 +1,32 @@
-"""The synthesis engine facade: cache in front, pool behind.
+"""Cache-aware batch synthesis: the one entry point into the engine.
 
-:class:`SynthesisEngine` is the one-stop entry point for schedule
-synthesis at scale.  It composes the two throughput mechanisms of this
+:func:`run_cached_batch` composes the two throughput mechanisms of this
 package around the paper's Algorithm 1:
 
-1. every request first consults the persistent
-   :class:`~repro.engine.cache.ScheduleCache` (when configured) — a hit
-   skips the solver entirely;
-2. misses are solved with speculative parallel iteration
-   (:mod:`repro.engine.parallel`) over a process pool, batching whole
-   mode sets onto shared workers.
+1. every problem first consults the persistent
+   :class:`~repro.engine.cache.ScheduleCache` (when one is given) — a
+   hit skips the solver entirely;
+2. identical problems are deduplicated by content fingerprint, and the
+   misses are solved with :func:`repro.engine.parallel.synthesize_batch`
+   over one shared process pool.
 
-The engine never changes *what* is synthesized — results are equal to
-the sequential :func:`repro.core.synthesis.synthesize` — only how fast
-the answer arrives and whether it must be recomputed at all.
+Every scenario runner reaches it through
+:func:`repro.api.experiment.synthesize_scenarios`.  The engine never
+changes *what* is synthesized — results are equal to the sequential
+:func:`repro.core.synthesis.synthesize` — only how fast the answer
+arrives and whether it must be recomputed at all.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import time
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
-from ..core.modes import Mode
-from ..core.schedule import ModeSchedule, SchedulingConfig
+from ..core.schedule import ModeSchedule
 from ..io.serialize import synthesis_fingerprint
 from .cache import ScheduleCache
-from .parallel import synthesize_batch, synthesize_parallel
+from .parallel import synthesize_batch
 
 
 @dataclass
@@ -56,26 +54,23 @@ def run_cached_batch(
     cache: Optional[ScheduleCache] = None,
     warm_start: bool = True,
     stats: Optional[EngineStats] = None,
-    backend: Optional[str] = None,
 ) -> List[ModeSchedule]:
     """Cache-aware batch synthesis of ``(mode, config)`` problems.
 
     The full engine pipeline as one function: consult the cache, dedupe
     identical problems (by content fingerprint) so each distinct ILP
     sequence is solved once, solve the misses over one shared pool, and
-    store the results back.  Both :meth:`SynthesisEngine.synthesize_many`
-    and the CLI ``batch`` command are thin wrappers over this.
+    store the results back.
 
     Args:
-        problems: ``(mode, config)`` pairs; configs may differ.
+        problems: ``(mode, config)`` pairs; configs may differ.  Each
+            config's ``backend`` picks the solver and is part of the
+            cache fingerprint, so schedules from different backends
+            never share cache entries.
         jobs: Worker processes for the miss pool.
         cache: Optional persistent cache consulted/updated per problem.
         warm_start: Seed searches at the demand lower bound.
         stats: Counters to update in place (a fresh object by default).
-        backend: Solver backend name overriding every problem's
-            ``config.backend``.  The effective backend is part of every
-            cache fingerprint, so schedules from different backends
-            never share cache entries.
 
     Returns:
         Schedules aligned with ``problems``.  Duplicate problems share
@@ -83,12 +78,6 @@ def run_cached_batch(
     """
     stats = stats if stats is not None else EngineStats()
     started = time.monotonic()
-    if backend is not None:
-        problems = [
-            (mode, dataclasses.replace(config, backend=backend)
-             if config.backend != backend else config)
-            for mode, config in problems
-        ]
     results: List[Optional[ModeSchedule]] = [None] * len(problems)
     occurrences: Dict[str, List[int]] = {}
     to_solve: List[tuple] = []  # (fingerprint, mode, config), first seen
@@ -126,79 +115,4 @@ def run_cached_batch(
     return results
 
 
-class SynthesisEngine:
-    """Cached, parallel schedule synthesis for modes and mode sets.
-
-    Args:
-        config: Scheduling parameters shared by all requests.
-        jobs: Worker processes for speculative/batch solving; ``1``
-            keeps everything in-process and sequential.
-        cache: An existing :class:`ScheduleCache` to share (e.g. across
-            engines with different configs in one sweep).
-        cache_dir: Convenience: build a :class:`ScheduleCache` at this
-            directory.  Ignored when ``cache`` is given; ``None`` (and
-            no ``cache``) disables caching.
-        warm_start: Seed each search at the demand lower bound
-            (preserves round-minimality; see
-            :func:`repro.core.synthesis.demand_round_bound`).
-        backend: Solver backend name overriding ``config.backend`` for
-            every request (see :func:`repro.milp.available_backends`).
-    """
-
-    def __init__(
-        self,
-        config: Optional[SchedulingConfig] = None,
-        jobs: int = 1,
-        cache: Optional[ScheduleCache] = None,
-        cache_dir: Optional[str | Path] = None,
-        warm_start: bool = True,
-        backend: Optional[str] = None,
-    ) -> None:
-        if jobs < 1:
-            raise ValueError("jobs must be >= 1")
-        self.config = config or SchedulingConfig()
-        if backend is not None and backend != self.config.backend:
-            self.config = dataclasses.replace(self.config, backend=backend)
-        self.jobs = jobs
-        self.cache = cache if cache is not None else (
-            ScheduleCache(cache_dir) if cache_dir is not None else None
-        )
-        self.warm_start = warm_start
-        self.stats = EngineStats()
-
-    # -- single mode -----------------------------------------------------
-    def synthesize(self, mode: Mode) -> ModeSchedule:
-        """Round-minimal schedule for one mode (cache, then solve)."""
-        return self.synthesize_many([mode])[mode.name]
-
-    # -- batches ---------------------------------------------------------
-    def synthesize_many(self, modes: Sequence[Mode]) -> Dict[str, ModeSchedule]:
-        """Schedule a whole mode set; cache hits never touch the pool.
-
-        Returns:
-            Mapping from mode name to schedule, covering every input
-            mode.
-
-        Raises:
-            repro.core.synthesis.InfeasibleError: if any uncached mode
-                is unschedulable.
-        """
-        names = [mode.name for mode in modes]
-        if len(set(names)) != len(names):
-            raise ValueError(f"duplicate mode names in batch: {names}")
-        results = run_cached_batch(
-            [(mode, self.config) for mode in modes],
-            jobs=self.jobs,
-            cache=self.cache,
-            warm_start=self.warm_start,
-            stats=self.stats,
-        )
-        return {mode.name: schedule for mode, schedule in zip(modes, results)}
-
-
-__all__ = [
-    "EngineStats",
-    "SynthesisEngine",
-    "run_cached_batch",
-    "synthesize_parallel",
-]
+__all__ = ["EngineStats", "run_cached_batch"]

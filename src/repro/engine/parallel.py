@@ -26,7 +26,6 @@ boundaries.
 
 from __future__ import annotations
 
-import dataclasses
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -89,15 +88,12 @@ class _SpeculativeSearch:
         self,
         mode: Mode,
         config: SchedulingConfig,
-        min_rounds: int = 0,
         warm_start: bool = True,
     ) -> None:
         mode.validate()
         self.mode = mode
         self.config = config
-        if warm_start:
-            min_rounds = max(min_rounds, demand_round_bound(mode, config))
-        self.next_round = min_rounds
+        self.next_round = demand_round_bound(mode, config) if warm_start else 0
         self.r_max = max_rounds(mode, config)
         self.best_feasible: Optional[int] = None
         self._schedule_data: Optional[dict] = None
@@ -226,70 +222,26 @@ def _run_searches(
             top_up()
 
 
-def synthesize_parallel(
-    mode: Mode,
-    config: Optional[SchedulingConfig] = None,
-    jobs: int = 2,
-    min_rounds: int = 0,
-    warm_start: bool = True,
-    backend: Optional[str] = None,
-) -> ModeSchedule:
-    """Algorithm 1 with speculative parallel iterations for one mode.
-
-    Semantically identical to :func:`repro.core.synthesis.synthesize`
-    (same round count, same objective); wall-clock improves whenever the
-    infeasible prefix of round counts can be disproved concurrently.
-
-    Args:
-        mode: The mode to schedule.
-        config: Scheduling parameters.
-        jobs: Worker processes (also the speculation window).  ``1``
-            falls back to the in-process sequential loop.
-        min_rounds: Start the search here (0 = the paper's Algorithm 1).
-        warm_start: Additionally start at the demand lower bound.
-        backend: Solver backend name overriding ``config.backend``; the
-            name travels to the workers inside the serialized config.
-
-    Raises:
-        InfeasibleError: if no round count up to ``Rmax`` is feasible.
-    """
-    config = config or SchedulingConfig()
-    if backend is not None and backend != config.backend:
-        config = dataclasses.replace(config, backend=backend)
-    if jobs <= 1:
-        from ..core.synthesis import synthesize
-
-        return synthesize(
-            mode, config, min_rounds=min_rounds, warm_start=warm_start
-        )
-    search = _SpeculativeSearch(
-        mode, config, min_rounds=min_rounds, warm_start=warm_start
-    )
-    _run_searches([search], jobs)
-    return search.result()
-
-
 def synthesize_batch(
     problems: Sequence[Tuple[Mode, SchedulingConfig]],
     jobs: int = 2,
     warm_start: bool = True,
-    backend: Optional[str] = None,
 ) -> List[ModeSchedule]:
     """Schedule heterogeneous ``(mode, config)`` problems over one pool.
 
-    The most general batch entry point: every problem may carry its own
-    :class:`SchedulingConfig` (e.g. the CLI's ``batch`` over several
-    workload files), and all of them share a single
+    The pool driver behind :func:`repro.engine.api.run_cached_batch`:
+    every problem may carry its own :class:`SchedulingConfig` (several
+    scenario files in one sweep), and all of them share a single
     :class:`ProcessPoolExecutor` so speculative iterations interleave
-    across problems and the pool never idles between files.
+    across problems and the pool never idles between files.  Each
+    config's ``backend`` travels to the workers inside the serialized
+    config.
 
     Args:
         problems: ``(mode, config)`` pairs to schedule.
         jobs: Worker processes shared by the whole batch.  ``1`` runs
             the sequential loop per problem.
         warm_start: Seed each search at its demand lower bound.
-        backend: Solver backend name overriding every problem's
-            ``config.backend``.
 
     Returns:
         Round-minimal schedules, aligned with ``problems`` — equal to
@@ -300,12 +252,6 @@ def synthesize_batch(
     """
     if not problems:
         return []
-    if backend is not None:
-        problems = [
-            (mode, dataclasses.replace(config, backend=backend)
-             if config.backend != backend else config)
-            for mode, config in problems
-        ]
     if jobs <= 1:
         from ..core.synthesis import synthesize
 
@@ -319,45 +265,3 @@ def synthesize_batch(
     ]
     _run_searches(searches, jobs)
     return [search.result() for search in searches]
-
-
-def synthesize_many(
-    modes: Sequence[Mode],
-    config: Optional[SchedulingConfig] = None,
-    jobs: int = 2,
-    warm_start: bool = True,
-    backend: Optional[str] = None,
-) -> Dict[str, ModeSchedule]:
-    """Batch Algorithm 1: schedule a whole mode set over one pool.
-
-    All modes share one :class:`ProcessPoolExecutor`; their speculative
-    iterations interleave, so the pool stays busy even while one mode
-    waits on the verdict for a small round count.  Warm-start bounds
-    (:func:`demand_round_bound`) are computed up-front for the whole set.
-
-    Args:
-        modes: Modes to schedule (names must be unique).
-        config: Scheduling parameters shared by all modes.
-        jobs: Worker processes shared by the whole batch.  ``1`` runs
-            the sequential loop per mode.
-        warm_start: Seed each search at its demand lower bound.
-
-    Returns:
-        Mapping from mode name to its round-minimal schedule — equal to
-        running :func:`repro.core.synthesis.synthesize` per mode.
-
-    Raises:
-        InfeasibleError: for the first (in input order) infeasible mode.
-        ValueError: on duplicate mode names.
-    """
-    config = config or SchedulingConfig()
-    names = [m.name for m in modes]
-    if len(set(names)) != len(names):
-        raise ValueError(f"duplicate mode names in batch: {names}")
-    schedules = synthesize_batch(
-        [(mode, config) for mode in modes],
-        jobs=jobs,
-        warm_start=warm_start,
-        backend=backend,
-    )
-    return {mode.name: schedule for mode, schedule in zip(modes, schedules)}

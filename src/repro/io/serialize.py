@@ -264,15 +264,22 @@ def save_system(
     Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True))
 
 
-def _read_payload(path: str | Path) -> dict:
+def read_json_object(path: str | Path) -> dict:
+    """Read a JSON file whose top level must be an object.
+
+    The one reader behind every file-loading entry point (system,
+    scenario and space files).
+
+    Raises:
+        SerializationError: on invalid JSON or a non-object top level.
+    """
     try:
         payload = json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
-        raise SerializationError(f"not valid JSON: {exc}") from exc
-    if payload.get("schema") != SCHEMA_VERSION:
+        raise SerializationError(f"{path}: not valid JSON: {exc}") from exc
+    if not isinstance(payload, dict):
         raise SerializationError(
-            f"unsupported schema {payload.get('schema')!r} "
-            f"(expected {SCHEMA_VERSION})"
+            f"{path}: expected a JSON object, got {type(payload).__name__}"
         )
     return payload
 
@@ -282,7 +289,12 @@ def load_system_image(path: str | Path) -> SystemImage:
 
     ``transitions`` is optional in the file (older images omit it).
     """
-    payload = _read_payload(path)
+    payload = read_json_object(path)
+    if payload.get("schema") != SCHEMA_VERSION:
+        raise SerializationError(
+            f"unsupported schema {payload.get('schema')!r} "
+            f"(expected {SCHEMA_VERSION})"
+        )
     return SystemImage(
         modes=[mode_from_dict(m) for m in payload["modes"]],
         schedules={
@@ -337,6 +349,10 @@ def scenario_from_dict(data: dict) -> "Scenario":
         TopologySpec,
     )
 
+    if not isinstance(data, dict):
+        raise SerializationError(
+            f"scenario must be a JSON object, got {type(data).__name__}"
+        )
     if data.get("kind") != "scenario":
         raise SerializationError(
             f"not a scenario record (kind={data.get('kind')!r})"
@@ -372,9 +388,33 @@ def save_scenario(path: str | Path, scenario: "Scenario") -> None:
 
 
 def load_scenario(path: str | Path) -> "Scenario":
-    """Read a scenario file written by :func:`save_scenario`."""
+    """Read a scenario file written by :func:`save_scenario`.
+
+    Also accepts the legacy workload spec — a ``config`` record plus a
+    ``modes`` list, without network or simulation — as a scenario named
+    after the file stem.
+
+    Raises:
+        SerializationError: on invalid JSON, a non-object top level, or
+            a malformed scenario or workload spec.
+    """
+    from ..api.scenario import Scenario
+
+    payload = read_json_object(path)
+    if payload.get("kind") == "scenario":
+        return scenario_from_dict(payload)
+    if "config" not in payload or "modes" not in payload:
+        raise SerializationError(
+            f"{path}: neither a scenario file (kind='scenario') nor a legacy "
+            f"workload spec (config + modes)"
+        )
     try:
-        payload = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise SerializationError(f"not valid JSON: {exc}") from exc
-    return scenario_from_dict(payload)
+        return Scenario(
+            name=Path(path).stem,
+            modes=[mode_from_dict(record) for record in payload["modes"]],
+            config=config_from_dict(payload["config"]),
+        )
+    except (KeyError, TypeError) as exc:
+        raise SerializationError(
+            f"{path}: malformed workload spec: {exc}"
+        ) from exc

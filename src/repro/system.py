@@ -2,7 +2,8 @@
 multi-mode TTW system in a few calls.
 
 :class:`TTWSystem` wires the subpackages together the way a deployment
-would:
+would.  Synthesis goes through the same path as every scenario runner,
+:func:`repro.api.experiment.synthesize_scenarios`:
 
     >>> from repro.system import TTWSystem
     >>> from repro.core import SchedulingConfig
@@ -21,7 +22,6 @@ would:
 from __future__ import annotations
 
 import dataclasses
-import warnings
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
@@ -38,26 +38,13 @@ class SystemStateError(RuntimeError):
     """Raised on inconsistent system usage (e.g. simulate before synth)."""
 
 
-def __getattr__(name: str):
-    # Deprecated alias kept for one release: the old trailing-underscore
-    # name leaked into user tracebacks.
-    if name == "SystemError_":
-        warnings.warn(
-            "SystemError_ is deprecated; use SystemStateError",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return SystemStateError
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 class TTWSystem:
     """A complete TTW deployment: modes, schedules, and runtime.
 
     Args:
         config: Scheduling parameters shared by all modes.
         warm_start: Use the demand-bound warm start in Algorithm 1.
-        jobs: Worker processes for the synthesis engine; ``1`` (default)
+        jobs: Worker processes for synthesis; ``1`` (default)
             synthesizes sequentially in-process, exactly like the paper.
         cache_dir: Enable the persistent schedule cache at this
             directory (see :class:`repro.engine.ScheduleCache`).
@@ -129,47 +116,56 @@ class TTWSystem:
     def synthesize_all(self, verify: bool = True) -> Dict[str, ModeSchedule]:
         """Run Algorithm 1 for every mode; optionally verify each result.
 
-        Synthesis goes through :class:`repro.engine.SynthesisEngine`, so
-        ``jobs > 1`` solves the mode set over a shared process pool and
-        ``cache_dir`` reuses previously synthesized schedules; the
-        defaults reproduce the paper's sequential loop.  Engine counters
-        (cache hits, solver runs) are left in :attr:`engine_stats`.
+        Synthesis goes through
+        :func:`repro.api.experiment.synthesize_scenarios` with this
+        system as a one-scenario batch, so ``jobs > 1`` solves the mode
+        set over a shared process pool and ``cache_dir`` reuses
+        previously synthesized schedules; the defaults reproduce the
+        paper's sequential loop.  Engine counters (cache hits, solver
+        runs) are left in :attr:`engine_stats`.
 
         Raises:
             repro.core.synthesis.InfeasibleError: if any mode is
                 unschedulable.
-            SystemStateError: if verification fails (indicates a bug —
-                synthesized schedules must always verify).
+            ValueError: on an unknown backend (before any solver runs).
+            SystemStateError: if no mode is registered, or if
+                verification fails (indicates a bug — synthesized
+                schedules must always verify).
         """
-        from .engine import SynthesisEngine
-        from .milp.backends import get_backend
+        from .api.experiment import synthesize_scenarios
+        from .engine.cache import ScheduleCache
 
         if not self.mode_graph.modes:
             raise SystemStateError("no modes registered")
-        get_backend(self.config.backend)  # clear error before any executor
-        engine = SynthesisEngine(
-            self.config,
+        scenario = self.to_scenario()
+        schedules, reports, self.engine_stats = synthesize_scenarios(
+            [scenario],
             jobs=self.jobs,
-            cache_dir=self.cache_dir,
+            cache=(
+                ScheduleCache(self.cache_dir)
+                if self.cache_dir is not None else None
+            ),
             warm_start=self.warm_start,
+            verify=verify,
         )
-        schedules = engine.synthesize_many(self.modes)
-        self.engine_stats = engine.stats
+        for name, report in reports[scenario.name].items():
+            if not report.ok:
+                raise SystemStateError(
+                    f"schedule for {name!r} failed verification: "
+                    f"{report.violations}"
+                )
+        self.install_schedules(schedules[scenario.name])
+        return dict(self.schedules)
+
+    def install_schedules(self, schedules: Dict[str, ModeSchedule]) -> None:
+        """Store each mode's schedule and build its deployment."""
         for mode in self.modes:
             schedule = schedules[mode.name]
-            if verify:
-                report = verify_schedule(mode, schedule)
-                if not report.ok:
-                    raise SystemStateError(
-                        f"schedule for {mode.name!r} failed verification: "
-                        f"{report.violations}"
-                    )
             self.schedules[mode.name] = schedule
             assert mode.mode_id is not None
             self.deployments[mode.mode_id] = build_deployment(
                 mode, schedule, mode.mode_id
             )
-        return dict(self.schedules)
 
     def verify_all(self) -> Dict[str, VerificationReport]:
         """Re-verify all synthesized schedules."""
@@ -260,13 +256,7 @@ class TTWSystem:
             system.mode_graph.add_mode(mode)
         for source, target in image.transitions:
             system.allow_transition(source, target)
-        for mode in system.modes:
-            schedule = image.schedules[mode.name]
-            system.schedules[mode.name] = schedule
-            assert mode.mode_id is not None
-            system.deployments[mode.mode_id] = build_deployment(
-                mode, schedule, mode.mode_id
-            )
+        system.install_schedules(image.schedules)
         return system
 
     # -- migration ------------------------------------------------------------

@@ -139,19 +139,17 @@ class TestCacheKeySeparation:
         assert len(set(keys.values())) == len(BACKENDS), keys
 
     def test_cached_greedy_schedule_stays_greedy(self, tmp_path):
-        from repro.engine import SynthesisEngine
+        from repro.engine import EngineStats, ScheduleCache, run_cached_batch
 
-        engine = SynthesisEngine(
-            config("greedy"), cache_dir=tmp_path / "cache"
+        cache = ScheduleCache(tmp_path / "cache")
+        stats = EngineStats()
+        first, = run_cached_batch(
+            [(small_mode(), config("greedy"))], cache=cache, stats=stats
         )
-        mode = small_mode()
-        first = engine.synthesize(mode)
-        second = SynthesisEngine(
-            config("greedy"), cache_dir=tmp_path / "cache"
-        ).synthesize(Mode("small", [
-            closed_loop_pipeline("a", period=20, deadline=20, num_hops=1),
-            closed_loop_pipeline("b", period=10, deadline=10, num_hops=1),
-        ]))
+        second, = run_cached_batch(
+            [(small_mode(), config("greedy"))], cache=cache, stats=stats
+        )
+        assert stats.cache_hits == 1
         assert second.config.backend == "greedy"
         assert first.rounds == second.rounds
 

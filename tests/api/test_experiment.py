@@ -1,5 +1,7 @@
 """Experiment runner: batching, caching, simulation, bit-identity."""
 
+import dataclasses
+
 import pytest
 
 from repro.api import (
@@ -8,7 +10,6 @@ from repro.api import (
     Scenario,
     SimulationSpec,
     run_scenario,
-    sweep,
 )
 from repro.core import Mode, SchedulingConfig
 from repro.io import mode_from_dict, mode_to_dict, schedule_to_dict
@@ -96,6 +97,8 @@ class TestExperiment:
     def test_jobs_validated(self):
         with pytest.raises(ValueError, match="jobs must be"):
             Experiment(jobs=0)
+        with pytest.raises(ValueError, match="jobs must be"):
+            Experiment(jobs=True)
 
     def test_duplicate_scenario_names_rejected(self):
         experiment = Experiment([make_scenario(), make_scenario()])
@@ -127,12 +130,13 @@ class TestExperiment:
 
     def test_backend_sweep_table(self):
         base = make_scenario()
-        with pytest.warns(DeprecationWarning):  # shim over repro.dse
-            variants = sweep(base, backend=["highs", "greedy"])
         # Re-instantiate modes per variant: Mode objects are mutated
         # (mode ids) when registered in a mode graph.
-        for variant in variants:
-            variant.modes = fresh_modes()
+        variants = [
+            dataclasses.replace(base, name=f"{base.name}-{i}",
+                                backend=backend, modes=fresh_modes())
+            for i, backend in enumerate(["highs", "greedy"])
+        ]
         outcome = Experiment(variants, jobs=2).run(simulate=False)
         assert outcome.ok
         assert len(outcome) == 2

@@ -13,7 +13,6 @@ from repro.api import (
     ScenarioError,
     SimulationSpec,
     TopologySpec,
-    sweep,
 )
 from repro.core import Mode, SchedulingConfig
 from repro.io import SerializationError, canonical_dumps
@@ -182,6 +181,9 @@ class TestRoundTrip:
     def test_not_a_scenario_rejected(self):
         with pytest.raises(SerializationError, match="not a scenario"):
             Scenario.from_dict({"kind": "system"})
+        for data in ([], "x", 3, None):
+            with pytest.raises(SerializationError, match="JSON object"):
+                Scenario.from_dict(data)
 
     def test_positions_survive_json(self, tmp_path):
         """Per-node coordinates persist through Scenario JSON and
@@ -257,27 +259,6 @@ def test_scenario_json_round_trip_property(
     # The rebuilt workload is structurally identical, not just equal-looking.
     assert [m.name for m in again.modes] == [m.name for m in scenario.modes]
     assert again.effective_config == scenario.effective_config
-
-
-class TestSweep:
-    # sweep() is a deprecated shim over repro.dse (see docs/EXPLORATION.md);
-    # behavior stays bit-identical, plus a DeprecationWarning.
-    def test_sweep_varies_one_field(self):
-        base = two_mode_scenario()
-        with pytest.warns(DeprecationWarning, match="repro.dse"):
-            variants = sweep(base, backend=["highs", "bnb", "greedy"])
-        assert [v.backend for v in variants] == ["highs", "bnb", "greedy"]
-        assert len({v.name for v in variants}) == 3
-
-    def test_sweep_rejects_multiple_fields(self):
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(ScenarioError, match="exactly one"):
-                sweep(two_mode_scenario(), backend=["highs"], name=["x"])
-
-    def test_sweep_rejects_unknown_field(self):
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(ScenarioError, match="unknown Scenario field"):
-                sweep(two_mode_scenario(), rounds=[1, 2])
 
 
 class TestSystemBridge:

@@ -183,8 +183,8 @@ class TestFailureModes:
     ):
         from repro.dse import StoreError
 
-        # Whole-spec-field replacement (the sweep() style): values are
-        # dataclasses, fine in memory, unhashable for a persistent store.
+        # Whole-spec-field replacement: values are dataclasses, fine in
+        # memory, unhashable for a persistent store.
         space = Space(
             base=dse_base,
             axes=[Axis("radio", "radio", [dse_base.radio, None])],

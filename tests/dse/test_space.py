@@ -14,6 +14,7 @@ from repro.dse import (
     available_transforms,
     register_transform,
 )
+from repro.io import SerializationError
 from repro.timing import round_length_ms
 
 
@@ -165,31 +166,13 @@ class TestSpace:
         assert again.candidate(first).to_dict() == \
             dse_space.candidate(first).to_dict()
 
+    @pytest.mark.parametrize("data", [[], "x", 3, None])
+    def test_non_object_record_rejected(self, data):
+        with pytest.raises(SerializationError, match="JSON object"):
+            Space.from_dict(data)
+
     def test_axisless_space_is_the_base(self, dse_base):
         space = Space(base=dse_base)
         assert space.size == 1
         assert list(space.assignments()) == [{}]
         assert space.candidate({}).name == dse_base.name
-
-
-class TestSweepShim:
-    def test_sweep_is_deprecated_but_bit_identical(self, dse_base):
-        from repro.api import sweep
-
-        expected = [
-            dataclasses.replace(dse_base, name=f"{dse_base.name}-{i}",
-                                backend=value)
-            for i, value in enumerate(["highs", "bnb", "greedy"])
-        ]
-        with pytest.warns(DeprecationWarning, match="repro.dse"):
-            variants = sweep(dse_base, backend=["highs", "bnb", "greedy"])
-        assert [v.to_dict() for v in variants] == \
-            [e.to_dict() for e in expected]
-
-    def test_sweep_replaces_whole_spec_fields(self, dse_base):
-        from repro.api import sweep
-
-        with pytest.warns(DeprecationWarning):
-            variants = sweep(dse_base, radio=[None, dse_base.radio])
-        assert variants[0].radio is None
-        assert variants[1].radio == dse_base.radio

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.core import Mode, SchedulingConfig, synthesize, verify_schedule
-from repro.engine import ScheduleCache, SynthesisEngine
+from repro.engine import EngineStats, ScheduleCache, run_cached_batch
 from repro.io import mode_from_dict, mode_to_dict, synthesis_fingerprint
 from repro.workloads import closed_loop_pipeline
 
@@ -128,24 +128,26 @@ class TestCacheBehavior:
 
 class TestEngineCaching:
     def test_second_engine_skips_solver(self, tmp_path, mode, config):
-        first = SynthesisEngine(config, cache_dir=tmp_path / "c")
-        schedules = first.synthesize_many([mode])
-        assert first.stats.cache_misses == 1
-        assert first.stats.solver_runs > 0
-
-        second = SynthesisEngine(config, cache_dir=tmp_path / "c")
-        again = second.synthesize_many([mode])
-        assert second.stats.cache_hits == 1
-        assert second.stats.solver_runs == 0
-        assert second.stats.modes_synthesized == 0
-        assert again[mode.name].num_rounds == schedules[mode.name].num_rounds
-        assert again[mode.name].total_latency == pytest.approx(
-            schedules[mode.name].total_latency
+        first = EngineStats()
+        schedule, = run_cached_batch(
+            [(mode, config)], cache=ScheduleCache(tmp_path / "c"), stats=first
         )
+        assert first.cache_misses == 1
+        assert first.solver_runs > 0
+
+        # A fresh cache object over the same directory, as a later run
+        # would open it.
+        second = EngineStats()
+        again, = run_cached_batch(
+            [(mode, config)], cache=ScheduleCache(tmp_path / "c"), stats=second
+        )
+        assert second.cache_hits == 1
+        assert second.solver_runs == 0
+        assert second.modes_synthesized == 0
+        assert again.num_rounds == schedule.num_rounds
+        assert again.total_latency == pytest.approx(schedule.total_latency)
 
     def test_run_cached_batch_dedupes_and_mixes_configs(self, tmp_path, mode):
-        from repro.engine import run_cached_batch, EngineStats
-
         cache = ScheduleCache(tmp_path / "c")
         config_a = SchedulingConfig(round_length=1.0, slots_per_round=5,
                                     max_round_gap=None)
@@ -170,12 +172,12 @@ class TestEngineCaching:
                                     max_round_gap=None)
         config_b = SchedulingConfig(round_length=2.0, slots_per_round=5,
                                     max_round_gap=None)
-        SynthesisEngine(config_a, cache=cache).synthesize(mode)
-        SynthesisEngine(config_b, cache=cache).synthesize(mode)
+        run_cached_batch([(mode, config_a)], cache=cache)
+        run_cached_batch([(mode, config_b)], cache=cache)
         assert len(cache) == 2  # different configs, different entries
-        hit_engine = SynthesisEngine(config_a, cache=cache)
-        hit_engine.synthesize(mode)
-        assert hit_engine.stats.cache_hits == 1
+        hits = EngineStats()
+        run_cached_batch([(mode, config_a)], cache=cache, stats=hits)
+        assert hits.cache_hits == 1
 
 
 class TestSizePolicy:

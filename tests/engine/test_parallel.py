@@ -1,8 +1,9 @@
 """Speculative parallel synthesis must reproduce the sequential results.
 
 The engine only changes *how fast* Algorithm 1 runs, never its output:
-round counts and objective values must match the sequential loop on the
-same inputs, including on randomly generated workloads.
+round counts and objective values from :func:`run_cached_batch` and its
+pool driver :func:`synthesize_batch` must match the sequential loop on
+the same inputs, including on randomly generated workloads.
 """
 
 import pytest
@@ -14,7 +15,7 @@ from repro.core import (
     synthesize,
     verify_schedule,
 )
-from repro.engine import SynthesisEngine, synthesize_many, synthesize_parallel
+from repro.engine import run_cached_batch, synthesize_batch
 from repro.workloads import GeneratorConfig, WorkloadGenerator, closed_loop_pipeline
 
 
@@ -37,9 +38,11 @@ class TestParallelEqualsSequential:
         sequential = {
             mode.name: synthesize(mode, fast_config) for mode in generated_modes
         }
-        parallel = synthesize_many(generated_modes, fast_config, jobs=2)
-        for mode in generated_modes:
-            seq, par = sequential[mode.name], parallel[mode.name]
+        parallel = run_cached_batch(
+            [(mode, fast_config) for mode in generated_modes], jobs=2
+        )
+        for mode, par in zip(generated_modes, parallel):
+            seq = sequential[mode.name]
             assert par.num_rounds == seq.num_rounds
             assert par.total_latency == pytest.approx(seq.total_latency)
             assert verify_schedule(mode, par).ok
@@ -49,7 +52,7 @@ class TestParallelEqualsSequential:
             closed_loop_pipeline("a", period=20, deadline=20, num_hops=2),
         ])
         seq = synthesize(mode, fast_config)
-        par = synthesize_parallel(mode, fast_config, jobs=2)
+        par, = synthesize_batch([(mode, fast_config)], jobs=2)
         assert par.num_rounds == seq.num_rounds
         assert par.total_latency == pytest.approx(seq.total_latency)
         assert par.rounds_for_message(seq.rounds[0].messages[0])
@@ -60,7 +63,9 @@ class TestParallelEqualsSequential:
         mode = Mode("stats", [
             closed_loop_pipeline("a", period=20, deadline=20, num_hops=2),
         ])
-        par = synthesize_parallel(mode, fast_config, jobs=2, warm_start=False)
+        par, = synthesize_batch(
+            [(mode, fast_config)], jobs=2, warm_start=False
+        )
         below = [
             it
             for it in par.solve_stats.iterations
@@ -72,11 +77,13 @@ class TestParallelEqualsSequential:
 
 class TestFallbacksAndErrors:
     def test_jobs_one_is_sequential(self, generated_modes, fast_config):
-        results = synthesize_many(generated_modes, fast_config, jobs=1)
-        for mode in generated_modes:
+        results = run_cached_batch(
+            [(mode, fast_config) for mode in generated_modes], jobs=1
+        )
+        for mode, result in zip(generated_modes, results):
             expected = synthesize(mode, fast_config, warm_start=True)
-            assert results[mode.name].num_rounds == expected.num_rounds
-            assert results[mode.name].total_latency == pytest.approx(
+            assert result.num_rounds == expected.num_rounds
+            assert result.total_latency == pytest.approx(
                 expected.total_latency
             )
 
@@ -90,21 +97,8 @@ class TestFallbacksAndErrors:
             round_length=8.0, slots_per_round=1, max_round_gap=None
         )
         with pytest.raises(InfeasibleError):
-            synthesize_many([mode], config, jobs=2)
+            run_cached_batch([(mode, config)], jobs=2)
 
-    def test_duplicate_mode_names_rejected(self, fast_config):
-        mode_a = Mode("dup", [
-            closed_loop_pipeline("a", period=20, deadline=20, num_hops=1),
-        ])
-        mode_b = Mode("dup", [
-            closed_loop_pipeline("b", period=20, deadline=20, num_hops=1),
-        ])
-        with pytest.raises(ValueError, match="duplicate"):
-            synthesize_many([mode_a, mode_b], fast_config, jobs=2)
-
-    def test_empty_batch(self, fast_config):
-        assert synthesize_many([], fast_config, jobs=2) == {}
-
-    def test_engine_rejects_bad_jobs(self, fast_config):
-        with pytest.raises(ValueError, match="jobs"):
-            SynthesisEngine(fast_config, jobs=0)
+    def test_empty_batch(self):
+        assert synthesize_batch([], jobs=2) == []
+        assert run_cached_batch([], jobs=2) == []

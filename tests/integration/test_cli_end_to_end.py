@@ -1,5 +1,6 @@
-"""CLI end-to-end: generated workload -> synth -> verify -> simulate
--> gantt, exercising the full command-line surface on one system."""
+"""CLI end-to-end: generated workload -> scenario run -> verify ->
+simulate -> gantt, exercising the full command-line surface on one
+system."""
 
 import json
 
@@ -30,9 +31,9 @@ def generated_workload(tmp_path):
 def test_cli_pipeline(generated_workload, tmp_path, capsys):
     system_path = tmp_path / "system.json"
 
-    # synth
-    assert main(["synth", str(generated_workload), "-o", str(system_path),
-                 "--warm-start"]) == 0
+    # synthesize
+    assert main(["scenario", "run", str(generated_workload),
+                 "-o", str(system_path), "--warm-start"]) == 0
     synth_out = capsys.readouterr().out
     assert "rounds" in synth_out
     assert system_path.exists()
@@ -57,9 +58,11 @@ def test_cli_pipeline(generated_workload, tmp_path, capsys):
 
 
 def test_cli_system_roundtrip_stable(generated_workload, tmp_path, capsys):
-    """synth twice -> identical system files (determinism)."""
+    """scenario run twice -> identical system files (determinism)."""
     out1, out2 = tmp_path / "s1.json", tmp_path / "s2.json"
-    assert main(["synth", str(generated_workload), "-o", str(out1)]) == 0
-    assert main(["synth", str(generated_workload), "-o", str(out2)]) == 0
+    assert main(["scenario", "run", str(generated_workload),
+                 "-o", str(out1)]) == 0
+    assert main(["scenario", "run", str(generated_workload),
+                 "-o", str(out2)]) == 0
     capsys.readouterr()
     assert out1.read_text() == out2.read_text()

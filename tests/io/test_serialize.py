@@ -140,3 +140,10 @@ class TestSystemFiles:
         path.write_text(json.dumps({"schema": 99, "modes": [], "schedules": {}}))
         with pytest.raises(SerializationError, match="schema"):
             load_system(path)
+
+    def test_non_object_rejected(self, tmp_path):
+        path = tmp_path / "list.json"
+        path.write_text("[]")
+        with pytest.raises(SerializationError,
+                           match="expected a JSON object, got list"):
+            load_system(path)

@@ -91,12 +91,15 @@ class TestErrorMapping:
             client._request("POST", "/jobs", {"trials": 2})
         assert err.value.status == 400
 
-    def test_bad_scenario_400(self, client):
+    @pytest.mark.parametrize(
+        "scenario", [{"kind": "not-a-scenario"}, [], "x", 3],
+        ids=["wrong-kind", "list", "string", "int"],
+    )
+    def test_bad_scenario_400(self, client, scenario):
         with pytest.raises(ServiceError) as err:
-            client._request(
-                "POST", "/jobs", {"scenario": {"kind": "not-a-scenario"}}
-            )
+            client._request("POST", "/jobs", {"scenario": scenario})
         assert err.value.status == 400
+        assert err.value.error == "bad_request"
 
     def test_bad_state_filter_400(self, client):
         with pytest.raises(ServiceError) as err:

@@ -41,9 +41,11 @@ def system_file(tmp_path):
 
 
 class TestSynth:
+    """`scenario run` synthesizes a legacy workload spec to a system file."""
+
     def test_synth_writes_system(self, workload_file, tmp_path, capsys):
         out = tmp_path / "out.json"
-        code = main(["synth", str(workload_file), "-o", str(out)])
+        code = main(["scenario", "run", str(workload_file), "-o", str(out)])
         assert code == 0
         assert out.exists()
         captured = capsys.readouterr().out
@@ -51,24 +53,27 @@ class TestSynth:
 
     def test_synth_warm_start(self, workload_file, tmp_path):
         out = tmp_path / "out.json"
-        assert main(["synth", str(workload_file), "-o", str(out),
+        assert main(["scenario", "run", str(workload_file), "-o", str(out),
                      "--warm-start"]) == 0
 
     def test_missing_file(self, tmp_path, capsys):
-        assert main(["synth", str(tmp_path / "nope.json")]) == 2
+        out = tmp_path / "out.json"
+        assert main(["scenario", "run", str(tmp_path / "nope.json"),
+                     "-o", str(out)]) == 2
         assert "error" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestSynthCache:
     def test_second_run_hits_cache(self, workload_file, tmp_path, capsys):
         cache_dir = tmp_path / "cache"
         out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
-        assert main(["synth", str(workload_file), "-o", str(out1),
+        assert main(["scenario", "run", str(workload_file), "-o", str(out1),
                      "--cache-dir", str(cache_dir)]) == 0
         first = capsys.readouterr().out
         assert "1 miss(es)" in first
 
-        assert main(["synth", str(workload_file), "-o", str(out2),
+        assert main(["scenario", "run", str(workload_file), "-o", str(out2),
                      "--cache-dir", str(cache_dir)]) == 0
         second = capsys.readouterr().out
         assert "1 hit(s)" in second
@@ -77,6 +82,9 @@ class TestSynthCache:
 
 
 class TestBatch:
+    """`scenario sweep` over legacy workload specs: one pool and cache,
+    one system file per spec."""
+
     def test_batch_two_workloads(self, workload_file, tmp_path, capsys):
         other = Mode("other", [
             closed_loop_pipeline("b", period=40, deadline=40, num_hops=1),
@@ -89,11 +97,11 @@ class TestBatch:
         second_file = tmp_path / "workload2.json"
         second_file.write_text(json.dumps(spec))
         out_dir = tmp_path / "out"
-        assert main(["batch", str(workload_file), str(second_file),
-                     "-O", str(out_dir), "-j", "2",
+        assert main(["scenario", "sweep", str(workload_file),
+                     str(second_file), "-O", str(out_dir), "-j", "2",
                      "--cache-dir", str(tmp_path / "cache")]) == 0
         captured = capsys.readouterr().out
-        assert "batch done: 2 mode(s)" in captured
+        assert "synthesized 2 mode(s)" in captured
         assert (out_dir / "workload.system.json").exists()
         assert (out_dir / "workload2.system.json").exists()
         # Both outputs are loadable, verifiable system files.
@@ -115,7 +123,7 @@ class TestBatch:
         twin = twin_dir / workload_file.name  # same basename, other dir
         twin.write_text(json.dumps(spec))
         out_dir = tmp_path / "out"
-        assert main(["batch", str(workload_file), str(twin),
+        assert main(["scenario", "sweep", str(workload_file), str(twin),
                      "-O", str(out_dir)]) == 0
         first = TTWSystem.load(out_dir / "workload.system.json")
         second = TTWSystem.load(out_dir / "workload-2.system.json")
@@ -133,14 +141,15 @@ class TestBatch:
         }
         path = tmp_path / "dup.json"
         path.write_text(json.dumps(spec))
-        assert main(["batch", str(path), "-O", str(tmp_path / "out")]) == 2
+        assert main(["scenario", "sweep", str(path),
+                     "-O", str(tmp_path / "out")]) == 2
         assert "duplicate mode names" in capsys.readouterr().err
 
     def test_batch_dedupes_identical_problems(self, workload_file, tmp_path,
                                               capsys):
         out_dir = tmp_path / "out"
-        assert main(["batch", str(workload_file), str(workload_file),
-                     "-O", str(out_dir)]) == 0
+        assert main(["scenario", "sweep", str(workload_file),
+                     str(workload_file), "-O", str(out_dir)]) == 0
         captured = capsys.readouterr().out
         # Same file listed twice: both outputs exist, but the identical
         # problem was synthesized only once.
@@ -148,9 +157,17 @@ class TestBatch:
         assert (out_dir / "workload-2.system.json").exists()
         assert "synthesized 1 mode(s)" in captured
 
+    def test_batch_honors_backend_flag(self, workload_file, tmp_path, capsys):
+        out_dir = tmp_path / "out"
+        assert main(["scenario", "sweep", str(workload_file),
+                     "-O", str(out_dir), "--backend", "greedy"]) == 0
+        capsys.readouterr()
+        system = TTWSystem.load(out_dir / "workload.system.json")
+        assert system.schedules["normal"].config.backend == "greedy"
+
     def test_jobs_zero_rejected(self, workload_file, capsys):
         with pytest.raises(SystemExit):
-            main(["synth", str(workload_file), "--jobs", "0"])
+            main(["scenario", "run", str(workload_file), "--jobs", "0"])
         assert "must be >= 1" in capsys.readouterr().err
 
 
@@ -293,6 +310,53 @@ class TestScenarioRun:
         assert "neither a scenario file" in capsys.readouterr().err
 
 
+FILE_COMMANDS = [
+    ["scenario", "run"],
+    ["scenario", "sweep"],
+    ["scenario", "mc"],
+    ["scenario", "explore"],
+    # The file is rejected before any request reaches this URL.
+    ["scenario", "submit", "--url", "http://127.0.0.1:9"],
+    ["verify"],
+    ["simulate"],
+    ["gantt"],
+]
+
+
+class TestMalformedInputFiles:
+    """Every file-reading command maps bad JSON to `error:` + exit 2."""
+
+    @pytest.mark.parametrize("payload, message", [
+        ("[]", "expected a JSON object, got list"),
+        ('"x"', "expected a JSON object, got str"),
+        ("3", "expected a JSON object, got int"),
+        ("null", "expected a JSON object, got NoneType"),
+        ("{not json", "not valid JSON"),
+    ])
+    @pytest.mark.parametrize(
+        "command", FILE_COMMANDS, ids=lambda command: "-".join(command[:2])
+    )
+    def test_bad_json_file(self, command, payload, message, tmp_path,
+                           capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(payload)
+        assert main(command + [str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert message in err
+        assert "Traceback" not in err
+
+    def test_legacy_spec_missing_field(self, tmp_path, capsys):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"config": {"round_length": 1.0},
+                                    "modes": []}))
+        assert main(["scenario", "run", str(spec)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "malformed workload spec" in err
+        assert "slots_per_round" in err
+
+
 class TestScenarioSweep:
     def test_sweep_two_files_shares_cache(self, scenario_file, workload_file,
                                           tmp_path, capsys):
@@ -361,26 +425,6 @@ class TestScenarioMc:
                      "--backend", "greedy", "--trials", "1",
                      "--sweep", "nope=1,2"]) == 2
         assert "unknown parameter" in capsys.readouterr().err
-
-
-class TestDeprecations:
-    def test_synth_warns(self, workload_file, tmp_path, capsys):
-        out = tmp_path / "out.json"
-        assert main(["synth", str(workload_file), "-o", str(out)]) == 0
-        assert "deprecated" in capsys.readouterr().err
-
-    def test_batch_warns(self, workload_file, tmp_path, capsys):
-        assert main(["batch", str(workload_file),
-                     "-O", str(tmp_path / "out")]) == 0
-        assert "deprecated" in capsys.readouterr().err
-
-    def test_batch_honors_backend_flag(self, workload_file, tmp_path, capsys):
-        out_dir = tmp_path / "out"
-        assert main(["batch", str(workload_file), "-O", str(out_dir),
-                     "--backend", "greedy"]) == 0
-        capsys.readouterr()
-        system = TTWSystem.load(out_dir / "workload.system.json")
-        assert system.schedules["normal"].config.backend == "greedy"
 
 
 @pytest.fixture
@@ -512,21 +556,20 @@ class TestScenarioExplore:
 
 
 class TestSweepCompatibility:
-    """`scenario sweep` must stay bit-identical across the sweep()
-    deprecation (the CLI path never calls the shim)."""
+    """`scenario sweep` prints exactly the table of the equivalent
+    :class:`repro.api.Experiment`."""
 
     def test_sweep_output_matches_experiment_table(self, scenario_file,
                                                    workload_file, capsys):
-        from repro.api import Experiment
-        from repro.cli import _load_scenario_file
+        from repro.api import Experiment, Scenario
 
         assert main(["scenario", "sweep", str(scenario_file),
                      str(workload_file), "--no-simulate"]) == 0
         cli_out = capsys.readouterr().out
 
         experiment = Experiment([
-            _load_scenario_file(str(scenario_file)),
-            _load_scenario_file(str(workload_file)),
+            Scenario.load(scenario_file),
+            Scenario.load(workload_file),
         ])
         expected = experiment.run(simulate=False).table()
         assert expected in cli_out

@@ -139,21 +139,6 @@ class TestErrorRename:
 
         assert SystemStateError.__name__ == "SystemStateError"
 
-    def test_old_name_is_deprecated_alias(self):
-        import importlib
-        import warnings
-
-        module = importlib.import_module("repro.system")
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            alias = module.SystemError_
-        from repro.system import SystemStateError
-
-        assert alias is SystemStateError
-        assert any(
-            issubclass(w.category, DeprecationWarning) for w in caught
-        )
-
 
 class TestSaveLoadRoundTrip:
     def test_round_trip_preserves_transitions_and_config(self, tmp_path):
