@@ -11,8 +11,8 @@ Three performance claims, all *mechanism, not results*:
 * **Vectorized kernel**: the tensor engine (``engine="vectorized"``,
   see ``repro.mc.vectorized``) must deliver **>= 3x trials/sec** over
   the *fast* engine on the same campaign — while staying
-  *distribution-equivalent* (it draws from numpy streams, so the
-  comparison is the statistical harness of ``repro.mc.equivalence``,
+  *distribution-equivalent* (it draws from counter-based streams, so
+  the comparison is the statistical harness of ``repro.mc.equivalence``,
   not equality).
 * **Pooling**: running the same campaign over the trial pool must not
   change a single number, synthesis must happen once per distinct
@@ -115,9 +115,9 @@ def test_bench_mc_campaign(benchmark, tmp_path, capsys, bench_record):
         assert result.points[0].stats.to_dict() == reference_stats
     assert reference.ok and fast.ok
 
-    # The vectorized engine draws from numpy streams — its contract is
-    # distribution equivalence against the exact engines, checked with
-    # the same harness the equivalence suite gates on.
+    # The vectorized engine draws from counter-based streams — its
+    # contract is distribution equivalence against the exact engines,
+    # checked with the same harness the equivalence suite gates on.
     assert vectorized.engines == {scenario.name: "vectorized"}
     assert vectorized.ok
     # Logging must not perturb the campaign — same engine, same numbers.

@@ -20,10 +20,13 @@ into three array-programming stages:
    :class:`~repro.runtime.trial.TrialContext`.
 2. **Sampling** — the full loss bitmask tensor for every trial up
    front: ``beacon[trials, rounds, nodes]`` and ``data[trials, slots,
-   nodes]`` boolean arrays, drawn per trial from that trial's own
-   ``numpy.random.default_rng(seed)`` in a fixed intra-trial order
-   (so results are independent of how trials are batched across pool
-   workers).  There is one tensor sampler per sampling primitive of
+   nodes]`` boolean arrays, compared against counter-based uniforms
+   (:func:`repro.core.rng.uniforms`).  Draw ``i`` of a trial is a pure
+   function of the trial's seed and ``i``, laid out in a fixed
+   intra-trial order, so the uniforms of all trials of a chunk are one
+   array program with no per-trial generator, and results cannot
+   depend on how trials are batched across calls, chunks or pool
+   workers.  There is one tensor sampler per sampling primitive of
    :mod:`repro.runtime.loss`, not per loss kind: the ``independent``
    kinds lower into per-round and per-slot miss-probability arrays,
    the ``script`` kinds into one shared realization, the ``markov``
@@ -43,8 +46,8 @@ into three array-programming stages:
    floating-point sum.
 
 The contract is **distribution equivalence, not bit identity**: the
-vectorized samplers draw from numpy streams, not the reference models'
-``random.Random`` streams, so per-seed results differ from the
+vectorized samplers draw from counter-based streams, not the reference
+models' ``random.Random`` streams, so per-seed results differ from the
 ``fast``/``reference`` engines while every *deterministic* quantity
 (instance totals, rounds, switch delays, deadline flags) matches
 exactly and every sampled *distribution* (miss rates, radio-on, burst
@@ -71,6 +74,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..core.rng import SeedLike, stream_keys, uniforms
 from ..runtime.compiled import SystemProgram
 from ..runtime.loss import (
     GilbertElliottLoss,
@@ -96,14 +100,9 @@ class VectorizeError(Exception):
 
 #: Approximate per-chunk tensor budget (bytes).  Trials are processed
 #: in chunks so the uniform-draw and bitmask tensors of huge campaigns
-#: stay bounded; chunking cannot change results because every trial
-#: draws from its own seeded generator.
+#: stay bounded; chunking cannot change results because each uniform
+#: is a pure function of its trial's key and draw index.
 TENSOR_BUDGET_BYTES = 128 * 1024 * 1024
-
-#: ``numpy.random.default_rng`` rejects negative seeds while
-#: ``random.Random`` accepts them; explicit user seeds are normalized
-#: into the SeedSequence domain with this mask.
-_SEED_MASK = (1 << 128) - 1
 
 
 # -- the deterministic timeline ----------------------------------------------
@@ -549,27 +548,31 @@ def slot_delivery(
 
 # -- vectorized loss samplers -------------------------------------------------
 #
-# A vector sampler turns per-trial generators into the full loss
-# bitmask tensor: sample(rngs) -> (beacon, data) with beacon of shape
-# (trials, rounds, nodes) and data of shape (trials, slots, nodes),
-# both boolean.  The beacon host bit and the data sender bit are always
-# set, mirroring the reference models' initiator.  Each trial consumes
-# only its own generator, in a fixed intra-trial draw order — the
-# property that makes results invariant to trial batching.
-# Deterministic primitives return broadcast views (one realization,
-# shared by every trial, at no memory cost).  There is one sampler per
-# primitive of :mod:`repro.runtime.loss`.
+# A vector sampler turns per-trial stream keys (repro.core.rng.stream_keys)
+# into the full loss bitmask tensor: sample(keys) -> (beacon, data) with
+# beacon of shape (trials, rounds, nodes) and data of shape (trials,
+# slots, nodes), both boolean.  The beacon host bit and the data sender
+# bit are always set, mirroring the reference models' initiator.  A
+# stochastic sampler makes one repro.core.rng.uniforms call over its
+# per-trial draw layout (``draws`` uniforms per trial), so trial t's
+# rows depend on keys[t] alone — the property that makes results
+# invariant to trial batching.  Deterministic primitives draw nothing
+# and return broadcast views (one realization, shared by every trial,
+# at no memory cost).  There is one sampler per primitive of
+# :mod:`repro.runtime.loss`.
 
 
 class _PerfectVector:
-    """No loss: every flood reaches every node, no stream consumed."""
+    """No loss: every flood reaches every node, nothing drawn."""
+
+    draws = 0
 
     def __init__(self, model, program, timeline, host_index) -> None:
         self._shape_b = (timeline.num_rounds, len(program.node_names))
         self._shape_d = (timeline.num_slots, len(program.node_names))
 
-    def sample(self, rngs: Sequence[np.random.Generator]):
-        trials = len(rngs)
+    def sample(self, keys: np.ndarray):
+        trials = len(keys)
         beacon = np.broadcast_to(True, (trials,) + self._shape_b)
         data = np.broadcast_to(True, (trials,) + self._shape_d)
         return beacon, data
@@ -583,7 +586,7 @@ class _IndependentVector:
     beacon array (the host's row of every round) and an ``(S, N)`` data
     array (the sender's row of every slot, in the slot's round); rows
     of round-invariant kinds are computed once per (initiator, flood
-    type).  Intra-trial draw order: beacon uniforms ``(R, N)`` first,
+    type).  Per-trial draw layout: beacon uniforms ``(R, N)`` first,
     then data uniforms ``(S, N)``.  A miss probability of 0 keeps the
     comparison (``u >= 0`` is always true) — same distribution as the
     reference's draw-skipping short-circuit.
@@ -622,16 +625,12 @@ class _IndependentVector:
         self._nodes = nodes
         self._host = host_index
         self._senders = timeline.slot_sender
+        self.draws = (self._rounds + self._slots) * nodes
 
-    def sample(self, rngs: Sequence[np.random.Generator]):
-        trials = len(rngs)
-        beacon = np.empty((trials, self._rounds, self._nodes), dtype=bool)
-        data = np.empty((trials, self._slots, self._nodes), dtype=bool)
-        for t, rng in enumerate(rngs):
-            beacon[t] = (
-                rng.random((self._rounds, self._nodes)) >= self._beacon_loss
-            )
-            data[t] = rng.random((self._slots, self._nodes)) >= self._data_loss
+    def sample(self, keys: np.ndarray):
+        u = uniforms(keys, (self._rounds + self._slots, self._nodes))
+        beacon = u[:, : self._rounds] >= self._beacon_loss
+        data = u[:, self._rounds :] >= self._data_loss
         beacon[:, :, self._host] = True
         data[:, np.arange(self._slots), self._senders] = True
         return beacon, data
@@ -641,7 +640,7 @@ class _GilbertElliottVector:
     """Tensor form of the ``markov`` primitive
     (:class:`~repro.runtime.loss.GilbertElliottLoss`).
 
-    Per trial the draw order is: channel-advance uniforms ``(R, N)``,
+    Per-trial draw layout: channel-advance uniforms ``(R, N)``,
     beacon-loss uniforms ``(R, N)``, data-loss uniforms ``(S, N)``.
     The two-state Markov recurrence is inherently sequential over
     rounds, so it runs as **one** loop over ``R`` operating on whole
@@ -667,22 +666,19 @@ class _GilbertElliottVector:
         self._host = host_index
         self._senders = timeline.slot_sender
         self._slot_round = timeline.slot_round
+        self.draws = (2 * self._rounds + self._slots) * self._nodes
 
-    def sample(self, rngs: Sequence[np.random.Generator]):
-        trials = len(rngs)
-        shape_r = (trials, self._rounds, self._nodes)
-        advance = np.empty(shape_r, dtype=np.float64)
-        u_beacon = np.empty(shape_r, dtype=np.float64)
-        u_data = np.empty((trials, self._slots, self._nodes), dtype=np.float64)
-        for t, rng in enumerate(rngs):
-            advance[t] = rng.random((self._rounds, self._nodes))
-            u_beacon[t] = rng.random((self._rounds, self._nodes))
-            u_data[t] = rng.random((self._slots, self._nodes))
+    def sample(self, keys: np.ndarray):
+        trials, rounds = len(keys), self._rounds
+        u = uniforms(keys, (2 * rounds + self._slots, self._nodes))
+        advance = u[:, :rounds]
+        u_beacon = u[:, rounds : 2 * rounds]
+        u_data = u[:, 2 * rounds :]
 
         # Evolve every (trial, node) channel round by round: from BAD,
         # recover when u < p_bg; from GOOD, degrade when u < p_gb.
         bad = np.zeros((trials, self._nodes), dtype=bool)
-        bad_rounds = np.empty(shape_r, dtype=bool)
+        bad_rounds = np.empty(advance.shape, dtype=bool)
         for r in range(self._rounds):
             u = advance[:, r, :]
             bad = np.where(bad, u >= self._p_bg, u < self._p_gb)
@@ -712,6 +708,8 @@ class _ScriptVector:
     deliberately *not* a :class:`VectorizeError`, so the strict policy
     fails identically on every engine.
     """
+
+    draws = 0
 
     def __init__(
         self,
@@ -750,8 +748,8 @@ class _ScriptVector:
         self._beacon = beacon
         self._data = data
 
-    def sample(self, rngs: Sequence[np.random.Generator]):
-        trials = len(rngs)
+    def sample(self, keys: np.ndarray):
+        trials = len(keys)
         beacon = np.broadcast_to(self._beacon, (trials,) + self._beacon.shape)
         data = np.broadcast_to(self._data, (trials,) + self._data.shape)
         return beacon, data
@@ -763,7 +761,7 @@ class _GlossyVector:
     propagation.
 
     Every beacon and every data slot is one Glossy flood over the whole
-    topology, relays included.  Per trial the draw is one uniform
+    topology, relays included.  The per-trial draw layout is a uniform
     tensor of shape ``(steps, floods, topology nodes)`` with ``steps =
     H + 2N - 1`` and the floods ordered beacons ``(R)`` then data slots
     ``(S)``.  All floods of all trials then advance together, one
@@ -827,18 +825,14 @@ class _GlossyVector:
         self._host = host_index
         self._senders = timeline.slot_sender
         floods = timeline.num_rounds + timeline.num_slots
-        #: Per-trial bytes beyond the ``(R + S, N)`` cells: the uniform
-        #: draws plus the first-reception and per-step work tensors.
-        self.draw_bytes = floods * size * (8 * self._steps + 40)
+        self.draws = self._steps * floods * size
 
-    def sample(self, rngs: Sequence[np.random.Generator]):
-        trials = len(rngs)
+    def sample(self, keys: np.ndarray):
+        trials = len(keys)
         steps, n_tx = self._steps, self._n_tx
         floods = self._rounds + self._slots
         size = self._adjacency.shape[0]
-        uniforms = np.empty((trials, steps, floods, size), dtype=np.float64)
-        for t, rng in enumerate(rngs):
-            uniforms[t] = rng.random((steps, floods, size))
+        u = uniforms(keys, (steps, floods, size))
 
         # first[t, f, m]: the step node m starts relaying flood f (its
         # first reception + 1; 0 for the initiator), ``never`` before
@@ -851,7 +845,7 @@ class _GlossyVector:
             heard_from = sending.reshape(-1, size) @ self._adjacency
             reach = self._reach[heard_from.astype(np.intp)]
             fresh = (first == never) & (
-                uniforms[:, step] < reach.reshape(first.shape)
+                u[:, step] < reach.reshape(first.shape)
             )
             first[fresh] = step + 1
         received = first != never
@@ -974,25 +968,16 @@ def accumulate_trials(
     )
 
 
-def _normalize_seed(seed):
-    if seed is None:
-        return None
-    if isinstance(seed, int):
-        return seed & _SEED_MASK
-    return seed  # Generators/SeedSequences pass straight through
-
-
 def _chunk_size(program: SystemProgram, timeline: Timeline, sampler) -> int:
     """Trials per tensor chunk under :data:`TENSOR_BUDGET_BYTES`."""
     cells = (timeline.num_rounds + timeline.num_slots) * max(
         len(program.node_names), 1
     )
-    # ~3 float64 draw tensors + bool masks per cell, rounded up; the
-    # LOCAL_BELIEF scan adds a round id and transmit masks per cell.
-    per_cell = 48 if program.policy is NodePolicy.LOCAL_BELIEF else 32
-    # Samplers whose draws outgrow the cells (glossy floods run over
-    # every topology node, every hop step) declare the excess.
-    per_trial = max(cells * per_cell + getattr(sampler, "draw_bytes", 0), 1)
+    # Bool masks plus float and integer work tensors per cell, rounded
+    # up; the LOCAL_BELIEF scan adds a round id and transmit masks per
+    # cell.  Every float64 uniform the sampler draws comes on top.
+    per_cell = 40 if program.policy is NodePolicy.LOCAL_BELIEF else 24
+    per_trial = max(cells * per_cell + 8 * sampler.draws, 1)
     return max(1, TENSOR_BUDGET_BYTES // per_trial)
 
 
@@ -1000,7 +985,7 @@ def run_trials_vectorized(
     context,
     loss_kind: Optional[str],
     loss_params: Optional[dict],
-    seeds: Sequence[Optional[int]],
+    seeds: Sequence[SeedLike],
 ) -> TrialBatch:
     """Execute many trials of one scenario as one tensor program.
 
@@ -1009,10 +994,13 @@ def run_trials_vectorized(
         loss_kind: Loss model kind, or ``None`` for perfect links.
         loss_params: Loss model parameters **without** a per-trial
             ``seed`` — seeds are the explicit last argument here.
-        seeds: One seed per trial (``None`` draws OS entropy, like the
-            reference models).  Each trial gets its own generator, so
-            the result is byte-identical however the trials are split
-            across calls or processes.
+        seeds: One seed per trial, of any type
+            :func:`repro.core.rng.make_rng` accepts (``None`` draws OS
+            entropy, like the reference models).  Each becomes the
+            trial's stream key (:func:`repro.core.rng.stream_keys`),
+            and each uniform is a pure function of (key, draw index),
+            so the result is byte-identical however the trials are
+            split across calls, chunks or processes.
 
     Returns:
         The :class:`~repro.runtime.trial.TrialBatch` of the trials, in
@@ -1022,6 +1010,7 @@ def run_trials_vectorized(
         VectorizeError: when the scenario or loss kind is unsupported —
             callers normally gate on
             :func:`repro.runtime.trial.trial_engine` first.
+        ValueError: for a seed :func:`repro.core.rng.make_rng` rejects.
     """
     primitive = loss_primitive(loss_kind)
     if primitive is None:
@@ -1052,14 +1041,11 @@ def run_trials_vectorized(
     )
     sampler = VECTOR_SAMPLERS[primitive](model, program, timeline, host_index)
 
+    keys = stream_keys(seeds)
     batches: List[TrialBatch] = []
     chunk = _chunk_size(program, timeline, sampler)
-    for start in range(0, len(seeds), chunk):
-        rngs = [
-            np.random.default_rng(_normalize_seed(seed))
-            for seed in seeds[start : start + chunk]
-        ]
-        beacon, data = sampler.sample(rngs)
+    for start in range(0, len(keys), chunk):
+        beacon, data = sampler.sample(keys[start : start + chunk])
         batches.append(
             accumulate_trials(program, timeline, beacon, data, context.duration)
         )

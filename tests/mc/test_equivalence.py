@@ -1,6 +1,6 @@
 """Statistical equivalence: the vectorized engine vs the exact engines.
 
-The ``vectorized`` engine draws from numpy streams, so — unlike
+The ``vectorized`` engine draws from counter-based streams, so — unlike
 ``fast`` vs ``reference``, which are bit-identical — its claim is
 *distribution equivalence*: same deterministic structure, compatible
 sampled statistics.  This suite asserts that with the reusable harness

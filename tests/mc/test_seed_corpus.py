@@ -101,23 +101,23 @@ DIGESTS = {
     ("trace_replay", "fast"):
         "7ffb40c92604a050286e2702f8c65c924c1f1bbb8bf9e5ae362d494b13a9f555",
     ("bernoulli", "vectorized"):
-        "842b1d5cefa4a9c9d66537fc1baf1e5ebae0c236ce97c9a8fdb543bfe280b01d",
+        "bf92bd0c8c65399aad8cb4af08c72f80bb4b6a30569c0bb4474046ef51ea27b9",
     ("gilbert_elliott", "vectorized"):
-        "87bc2a3b08071654e5c83aa7e237171c3c5b4cf3c86c0f7843c0c94f292ddba2",
+        "04740c09dc1f04951fa613c2900263bd964ba28309a78ad661864b9424c399ab",
     ("glossy", "vectorized"):
-        "1fd1c05d93b7cdbec1c7c6f749c62cae19cb89dec013713c4a0ad342f6b729ec",
+        "f1b33c9472593c7b0461bb1223bf7cc7509d0e62a4e55510b1d05be5537306f1",
     ("interference", "vectorized"):
-        "106dbe0689535aa049d8d1548f8b8b7d35f1c777ddd9c2b914524f814c916acd",
+        "ed19e3f5c4a763da78eccbd56bb69d7f01d3c67d76cbab11f7f6d99d8ac1c370",
     ("matrix_trace", "vectorized"):
-        "98ac898a1d5e6404f3b1d3dd7a0e2db0186dd78442c5e9405029ffdcdfb4c53d",
+        "8eae40d9a7040308fc8ac21a7fe56d39db6165007727a615b0c80b35a4dcba8e",
     ("perfect", "vectorized"):
         "ec6353a5bac434437faeb253765d0f73c75d9671222fe5e5183ddea1564a366e",
     ("scripted_beacon", "vectorized"):
         "d509476007ff04b0782b845f476bf27370f6da4c0efbd269033fda55f98ce279",
     ("spatial", "vectorized"):
-        "047c5323272652ed9607587bad9df41d9e3ded1145aa4c5fd9da0deb1e23f8af",
+        "c8349879ea8ddb3d81410d6ec97eb24821944b0657631121fc65981391db118a",
     ("time_varying", "vectorized"):
-        "747aea0907dbc809d5b7e726336bf27700eaf61a0ee10bce54af3d1c9ade9428",
+        "2657f2d7bd305508b2f417f61e50840ba7bae68f07a3d35750dc9038bd8a8afa",
     ("trace_replay", "vectorized"):
         "7ffb40c92604a050286e2702f8c65c924c1f1bbb8bf9e5ae362d494b13a9f555",
 }

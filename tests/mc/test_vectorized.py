@@ -161,7 +161,8 @@ class TestDeterminism:
         self, gated_context, monkeypatch
     ):
         """A one-trial-per-chunk budget must reproduce the unchunked
-        results exactly — every trial owns its generator."""
+        results exactly — each uniform is a pure function of its
+        trial's key and draw index."""
         seeds = list(range(6))
         unchunked = run_trials_vectorized(
             gated_context, "bernoulli", BERNOULLI, seeds
@@ -173,8 +174,8 @@ class TestDeterminism:
         assert self.dicts(unchunked) == self.dicts(chunked)
 
     def test_negative_seeds_are_deterministic(self, gated_context):
-        """``random.Random`` accepts negative seeds, numpy does not;
-        the kernel must normalize rather than crash, reproducibly."""
+        """``random.Random`` accepts negative seeds; the kernel must
+        fold them into stream keys rather than crash, reproducibly."""
         first = run_trials_vectorized(
             gated_context, "bernoulli", BERNOULLI, [-5, -1]
         )

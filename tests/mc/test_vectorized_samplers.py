@@ -3,10 +3,11 @@
 :mod:`repro.mc.vectorized` has one tensor sampler per sampling
 primitive of :mod:`repro.runtime.loss`; run on a kind's model, it must
 realize the same marginal distributions as the scalar model, drawn
-from numpy streams instead of ``random.Random``.  The stochastic
-primitives (independent draws, the Gilbert-Elliott chain) are checked
-with hypothesis-driven statistical properties at very wide confidence
-levels plus an exact replication of their recurrences; the
+from counter-based streams (:func:`repro.core.rng.uniforms`) instead
+of ``random.Random``.  The stochastic primitives (independent draws,
+the Gilbert-Elliott chain) are checked with hypothesis-driven
+statistical properties at very wide confidence levels plus an exact
+replication of their recurrences; the
 deterministic script primitive (scripted beacons, trace replay) must
 agree with the reference models *exactly*, receiver set by receiver
 set.
@@ -22,6 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.rng import stream_keys, uniforms
 from repro.mc.stats import wilson_interval
 from repro.mc.vectorized import (
     VECTOR_SAMPLERS,
@@ -73,8 +75,8 @@ def fake_timeline(rounds, slots, *, seed=0):
     )
 
 
-def trial_rngs(master, trials):
-    return [np.random.default_rng(master + t) for t in range(trials)]
+def trial_keys(master, trials):
+    return stream_keys(range(master, master + trials))
 
 
 class TestBernoulliVector:
@@ -90,7 +92,7 @@ class TestBernoulliVector:
         model = BernoulliLoss(beacon_loss=beacon_loss, data_loss=data_loss)
         timeline = fake_timeline(rounds=60, slots=150)
         sampler = _IndependentVector(model, fake_program(), timeline, HOST)
-        beacon, data = sampler.sample(trial_rngs(master, 8))
+        beacon, data = sampler.sample(trial_keys(master, 8))
 
         # The host hears every beacon, the sender its own flood —
         # exactly the reference models' ``always`` node.
@@ -112,21 +114,20 @@ class TestBernoulliVector:
         sampler = _IndependentVector(
             BernoulliLoss(), fake_program(), fake_timeline(20, 40), HOST
         )
-        beacon, data = sampler.sample(trial_rngs(7, 3))
+        beacon, data = sampler.sample(trial_keys(7, 3))
         assert beacon.all() and data.all()
 
-    def test_trials_draw_from_independent_generators(self):
-        """Trial ``t`` consumes only ``rngs[t]`` — the invariant that
-        makes results independent of batch splits."""
+    def test_trial_rows_depend_only_on_their_key(self):
+        """Trial ``t``'s rows depend only on ``keys[t]`` — the
+        invariant that makes results independent of batch splits."""
         timeline = fake_timeline(30, 60)
         sampler = _IndependentVector(
             BernoulliLoss(beacon_loss=0.3, data_loss=0.3),
             fake_program(), timeline, HOST,
         )
-        together_b, together_d = sampler.sample(
-            [np.random.default_rng(1), np.random.default_rng(2)]
-        )
-        alone_b, alone_d = sampler.sample([np.random.default_rng(2)])
+        keys = stream_keys([1, 2])
+        together_b, together_d = sampler.sample(keys)
+        alone_b, alone_d = sampler.sample(keys[1:])
         np.testing.assert_array_equal(together_b[1], alone_b[0])
         np.testing.assert_array_equal(together_d[1], alone_d[0])
 
@@ -135,16 +136,16 @@ class TestGilbertElliottVector:
     PARAMS = dict(p_good_to_bad=0.15, p_bad_to_good=0.35,
                   loss_good=0.02, loss_bad=0.8)
 
-    def replay_states(self, master, trials, rounds, nodes):
-        """The scalar-definition Markov walk over the same uniforms."""
+    def replay_states(self, advance):
+        """The scalar-definition Markov walk over the channel-advance
+        uniforms ``advance[trial, round, node]``."""
+        trials, rounds, nodes = advance.shape
         states = np.zeros((trials, rounds, nodes), dtype=bool)
         for t in range(trials):
-            rng = np.random.default_rng(master + t)
-            advance = rng.random((rounds, nodes))
             bad = np.zeros(nodes, dtype=bool)
             for r in range(rounds):
                 for n in range(nodes):
-                    u = advance[r, n]
+                    u = advance[t, r, n]
                     bad[n] = (u >= self.PARAMS["p_bad_to_good"]) if bad[n] \
                         else (u < self.PARAMS["p_good_to_bad"])
                 states[t, r] = bad
@@ -155,20 +156,21 @@ class TestGilbertElliottVector:
     def test_recurrence_matches_scalar_definition_exactly(self, master):
         """The batched ``np.where`` recurrence must realize exactly the
         per-node chain the reference model defines, uniform by
-        uniform — replayed here from the same per-trial generators."""
+        uniform — replayed here from the same slices of the trials'
+        uniforms (advance, beacon, data)."""
         trials, rounds = 4, 40
         model = GilbertElliottLoss(**self.PARAMS)
         timeline = fake_timeline(rounds, 2 * rounds)
         sampler = _GilbertElliottVector(model, fake_program(), timeline, HOST)
-        beacon, _data = sampler.sample(trial_rngs(master, trials))
+        keys = trial_keys(master, trials)
+        beacon, _data = sampler.sample(keys)
 
-        states = self.replay_states(master, trials, rounds, len(NODES))
+        u = uniforms(keys, (2 * rounds + timeline.num_slots, len(NODES)))
+        states = self.replay_states(u[:, :rounds])
         loss = np.where(states, self.PARAMS["loss_bad"],
                         self.PARAMS["loss_good"])
         for t in range(trials):
-            rng = np.random.default_rng(master + t)
-            rng.random((rounds, len(NODES)))  # skip the advance draws
-            u_beacon = rng.random((rounds, len(NODES)))
+            u_beacon = u[t, rounds : 2 * rounds]
             expected = u_beacon >= loss[t]
             expected[:, HOST] = True
             np.testing.assert_array_equal(beacon[t], expected)
@@ -178,7 +180,8 @@ class TestGilbertElliottVector:
         burst continues one more round is ``1 - p_bg``, whatever the
         burst's age — checked on the realized state sequences."""
         trials, rounds, nodes = 12, 400, len(NODES)
-        states = self.replay_states(99, trials, rounds, nodes)
+        states = self.replay_states(
+            uniforms(trial_keys(99, trials), (rounds, nodes)))
         bad_now = states[:, :-1, :]
         bad_next = states[:, 1:, :]
         continued = int((bad_now & bad_next).sum())
@@ -198,7 +201,8 @@ class TestGilbertElliottVector:
 
     def test_entry_rate_matches_p_good_to_bad(self):
         trials, rounds, nodes = 12, 400, len(NODES)
-        states = self.replay_states(7, trials, rounds, nodes)
+        states = self.replay_states(
+            uniforms(trial_keys(7, trials), (rounds, nodes)))
         good_now = ~states[:, :-1, :]
         entered = int((good_now & states[:, 1:, :]).sum())
         total = int(good_now.sum())
@@ -219,7 +223,7 @@ class TestScriptedBeaconVector:
         sampler = _ScriptVector(
             ScriptedBeaconLoss(self.DROPS), program, timeline, HOST
         )
-        beacon, data = sampler.sample(trial_rngs(0, 3))
+        beacon, data = sampler.sample(trial_keys(0, 3))
         assert data.all()  # scripted loss never touches data floods
 
         reference = ScriptedBeaconLoss(self.DROPS)
@@ -235,7 +239,7 @@ class TestScriptedBeaconVector:
             ScriptedBeaconLoss({"1": [NODES[HOST], "n0"]}),
             fake_program(), timeline, HOST,
         )
-        beacon, _ = sampler.sample(trial_rngs(0, 1))
+        beacon, _ = sampler.sample(trial_keys(0, 1))
         assert beacon[0, 1, HOST]          # forced, like the reference
         assert not beacon[0, 1, 0]
 
@@ -256,7 +260,7 @@ class TestTraceReplayVector:
         model = TraceReplayLoss(beacon=self.BEACON, data=self.DATA,
                                 on_end=on_end)
         sampler = _ScriptVector(model, fake_program(), timeline, HOST)
-        beacon, data = sampler.sample(trial_rngs(0, 2))
+        beacon, data = sampler.sample(trial_keys(0, 2))
 
         reference = TraceReplayLoss(beacon=self.BEACON, data=self.DATA,
                                     on_end=on_end)
@@ -280,7 +284,7 @@ class TestTraceReplayVector:
         sampler = _ScriptVector(
             TraceReplayLoss(), fake_program(), timeline, HOST
         )
-        beacon, data = sampler.sample(trial_rngs(0, 2))
+        beacon, data = sampler.sample(trial_keys(0, 2))
         assert beacon.all() and data.all()
 
 
@@ -292,7 +296,7 @@ class TestGlossyVector:
         timeline = fake_timeline(floods, 0)
         sampler = _GlossyVector(GlossyLoss(topology, link_success),
                                 fake_program(nodes), timeline, host)
-        beacon, _ = sampler.sample(trial_rngs(0, 1))
+        beacon, _ = sampler.sample(trial_keys(0, 1))
         return nodes, beacon[0].sum(axis=0)
 
     @pytest.mark.parametrize("topology,link_success",
@@ -331,7 +335,7 @@ class TestGlossyVector:
         timeline.slot_sender = np.zeros(10, dtype=np.intp)
         sampler = _GlossyVector(GlossyLoss(line(3), 1.0), program,
                                 timeline, 0)
-        beacon, data = sampler.sample(trial_rngs(0, 2))
+        beacon, data = sampler.sample(trial_keys(0, 2))
         assert beacon[:, :, :2].all() and data[:, :, :2].all()
         assert not beacon[:, :, 2].any() and not data[:, :, 2].any()
         foreign_host = fake_program(("n0", "zz"))
@@ -344,13 +348,14 @@ class TestPerfectVector:
     def test_all_receive_and_no_stream_consumed(self):
         timeline = fake_timeline(6, 12)
         sampler = _PerfectVector(None, fake_program(), timeline, HOST)
-        rng = np.random.default_rng(5)
-        beacon, data = sampler.sample([rng])
+        keys = stream_keys([5])
+        beacon, data = sampler.sample(keys)
         assert beacon.all() and data.all()
         assert beacon.shape == (1, 6, len(NODES))
         assert data.shape == (1, 12, len(NODES))
-        # Deterministic kinds must not consume the trial stream.
-        assert rng.random() == np.random.default_rng(5).random()
+        # Deterministic kinds draw nothing from the trial stream.
+        assert sampler.draws == 0
+        np.testing.assert_array_equal(keys, stream_keys([5]))
 
 
 class TestRegistry:
@@ -392,7 +397,7 @@ class TestConnectivityVectors:
         sampler = _IndependentVector(
             self.spatial_model(0.5), fake_program(), timeline, HOST
         )
-        beacon, data = sampler.sample(trial_rngs(3, 2))
+        beacon, data = sampler.sample(trial_keys(3, 2))
         assert beacon.all() and data.all()
 
     def test_spatial_far_positions_only_forced_bits(self):
@@ -401,7 +406,7 @@ class TestConnectivityVectors:
         sampler = _IndependentVector(
             self.spatial_model(500.0), fake_program(), timeline, HOST
         )
-        beacon, data = sampler.sample(trial_rngs(3, 2))
+        beacon, data = sampler.sample(trial_keys(3, 2))
         trials = beacon.shape[0]
         assert beacon[:, :, HOST].all()
         assert beacon.sum() == trials * timeline.num_rounds  # host bits only
@@ -417,14 +422,14 @@ class TestConnectivityVectors:
             MatrixTraceLoss(matrices=[{"pdr": {}, "default": 1.0}]),
             fake_program(), timeline, HOST,
         )
-        beacon, data = open_channel.sample(trial_rngs(5, 2))
+        beacon, data = open_channel.sample(trial_keys(5, 2))
         assert beacon.all() and data.all()
 
         closed = _IndependentVector(
             MatrixTraceLoss(matrices=[{"pdr": {}, "default": 0.0}]),
             fake_program(), timeline, HOST,
         )
-        beacon, data = closed.sample(trial_rngs(5, 2))
+        beacon, data = closed.sample(trial_keys(5, 2))
         assert beacon[:, :, HOST].all()
         assert np.delete(beacon, HOST, axis=2).sum() == 0
 
@@ -438,7 +443,7 @@ class TestConnectivityVectors:
         sampler = _IndependentVector(
             model, fake_program(), fake_timeline(10, 20), HOST
         )
-        beacon, data = sampler.sample(trial_rngs(9, 2))
+        beacon, data = sampler.sample(trial_keys(9, 2))
         assert beacon.all() and data.all()
 
     def test_interference_blackout_rounds(self):
@@ -447,7 +452,7 @@ class TestConnectivityVectors:
         timeline = fake_timeline(8, 16)
         model = InterferenceLoss(period=2, burst=1, jam_loss=1.0)
         sampler = _IndependentVector(model, fake_program(), timeline, HOST)
-        beacon, data = sampler.sample(trial_rngs(13, 2))
+        beacon, data = sampler.sample(trial_keys(13, 2))
         jammed_rounds = np.array([model.jammed(r) for r in range(8)])
         free = np.delete(beacon, HOST, axis=2)
         # Jammed rounds: nothing but the forced host bit gets through.

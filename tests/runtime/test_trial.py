@@ -1,5 +1,9 @@
 """Trial entry point: trace summarization, context round-trip, pooling."""
 
+import random
+import re
+
+import numpy as np
 import pytest
 
 from repro.core import Mode, SchedulingConfig, synthesize
@@ -23,6 +27,7 @@ from repro.runtime.trial import (
     execute_trial_batch,
     run_trial,
     summarize_trace,
+    trial_engine,
 )
 from repro.workloads import closed_loop_pipeline
 
@@ -173,6 +178,50 @@ class TestRunTrial:
         assert payload["trial"] == 3
         assert payload["scenario"] == "s"
         assert payload["rounds"] > 0
+
+
+#: id -> seed factory; stateful seeds are built fresh for every case.
+ACCEPTED_SEEDS = {
+    "7": lambda: 7,
+    "-3": lambda: -3,
+    "None": lambda: None,
+    "Random": lambda: random.Random(7),
+    "Generator": lambda: np.random.default_rng(7),
+    "2**70": lambda: 2**70,
+}
+
+
+@pytest.fixture(scope="module")
+def seed_context():
+    return build_context(trial_context_data())
+
+
+class TestSeedTypes:
+    """``LossSpec`` promises the same ``params["seed"]`` types on every
+    trial engine: what one engine runs, all run; what one rejects, all
+    reject with the same message."""
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("seed", sorted(ACCEPTED_SEEDS))
+    def test_accepted_seed_runs_on_every_engine(self, seed_context, engine,
+                                                seed):
+        assert trial_engine(seed_context, "bernoulli", engine) == engine
+        params = {"beacon_loss": 0.1, "data_loss": 0.1,
+                  "seed": ACCEPTED_SEEDS[seed]()}
+        result = run_trial(seed_context, "bernoulli", params, engine=engine)
+        assert result.rounds > 0
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("seed", [True, 1.5, "x"], ids=repr)
+    def test_rejected_seed_raises_on_every_engine(self, seed_context, engine,
+                                                  seed):
+        message = (
+            "seed must be an integer, a random.Random, a "
+            f"numpy.random.Generator, or None, got {seed!r}"
+        )
+        params = {"beacon_loss": 0.1, "data_loss": 0.1, "seed": seed}
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            run_trial(seed_context, "bernoulli", params, engine=engine)
 
 
 class TestTrialPool:
