@@ -37,6 +37,7 @@ Example::
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
@@ -52,6 +53,11 @@ from ..runtime.simulator import NodePolicy, RadioTiming
 
 class ScenarioError(ValueError):
     """Raised for inconsistent or unbuildable scenario descriptions."""
+
+
+def _is_real(value) -> bool:
+    """A JSON number: an ``int`` or ``float``, never a ``bool``."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def spec_to_dict(spec) -> Optional[dict]:
@@ -261,65 +267,87 @@ class Scenario:
         return self.config
 
     def validate(self) -> None:
-        """Check internal consistency; raises :class:`ScenarioError`."""
+        """Check internal consistency; raises :class:`ScenarioError`.
+
+        Field types are checked before any name lookup, so a
+        wrong-typed JSON value is a precise error, never a
+        ``TypeError``."""
         if not self.modes:
             raise ScenarioError(f"scenario {self.name!r} has no modes")
+
+        def expect(ok: bool, path: str, what: str, value) -> None:
+            if not ok:
+                raise ScenarioError(
+                    f"scenario {self.name!r}: {path} must be {what}, "
+                    f"got {value!r}"
+                )
+
         names = [mode.name for mode in self.modes]
+        for index, name in enumerate(names):
+            expect(isinstance(name, str), f"modes[{index}].name",
+                   "a string", name)
         if len(set(names)) != len(names):
             raise ScenarioError(
                 f"scenario {self.name!r}: duplicate mode names {names}"
             )
+        for path, backend in (("backend", self.backend),
+                              ("config.backend", self.config.backend)):
+            expect(backend is None or isinstance(backend, str), path,
+                   "a string", backend)
         try:
             get_backend(self.effective_config.backend)
         except ValueError as exc:
             # get_backend's message already lists the available backends.
             raise ScenarioError(f"scenario {self.name!r}: {exc}") from None
         time_limit = self.config.time_limit
-        if time_limit is not None and time_limit <= 0:
-            raise ScenarioError(
-                f"scenario {self.name!r}: time_limit must be > 0 seconds "
-                f"(or null for no limit), got {time_limit!r}"
-            )
+        expect(time_limit is None or (_is_real(time_limit) and time_limit > 0),
+               "time_limit", "> 0 seconds (or null for no limit)",
+               time_limit)
         known = set(names)
-        for source, target in self.transitions:
+        for index, (source, target) in enumerate(self.transitions):
+            expect(isinstance(source, str) and isinstance(target, str),
+                   f"transitions[{index}]", "a pair of mode names",
+                   [source, target])
             if source not in known or target not in known:
                 raise ScenarioError(
                     f"scenario {self.name!r}: transition {source!r} -> "
                     f"{target!r} references an unknown mode"
                 )
         if self.simulation is not None:
-            self.simulation.node_policy()
-            trials = self.simulation.trials
-            if not isinstance(trials, int) or isinstance(trials, bool) \
-                    or trials < 1:
-                raise ScenarioError(
-                    f"scenario {self.name!r}: simulation.trials must be an "
-                    f"integer >= 1, got {trials!r}"
-                )
-            seed = self.simulation.seed
-            if seed is not None and (
-                not isinstance(seed, int) or isinstance(seed, bool)
-            ):
-                raise ScenarioError(
-                    f"scenario {self.name!r}: simulation.seed must be an "
-                    f"integer or null, got {seed!r}"
-                )
-            if (
-                self.simulation.initial_mode is not None
-                and self.simulation.initial_mode not in known
-            ):
+            simulation = self.simulation
+            duration = simulation.duration
+            expect(_is_real(duration) and 0 < duration < math.inf,
+                   "simulation.duration", "a finite number > 0", duration)
+            simulation.node_policy()
+            trials = simulation.trials
+            expect(isinstance(trials, int) and not isinstance(trials, bool)
+                   and trials >= 1, "simulation.trials", "an integer >= 1",
+                   trials)
+            seed = simulation.seed
+            expect(seed is None or (isinstance(seed, int)
+                                    and not isinstance(seed, bool)),
+                   "simulation.seed", "an integer or null", seed)
+            initial = simulation.initial_mode
+            expect(initial is None or isinstance(initial, str),
+                   "simulation.initial_mode", "a mode name or null", initial)
+            if initial is not None and initial not in known:
                 raise ScenarioError(
                     f"scenario {self.name!r}: initial mode "
-                    f"{self.simulation.initial_mode!r} is not a scenario mode"
+                    f"{initial!r} is not a scenario mode"
                 )
-            for _, target in self.simulation.mode_requests:
+            for index, (_, target) in enumerate(simulation.mode_requests):
+                expect(isinstance(target, str),
+                       f"simulation.mode_requests[{index}][1]",
+                       "a mode name", target)
                 if target not in known:
                     raise ScenarioError(
                         f"scenario {self.name!r}: mode request targets "
                         f"unknown mode {target!r}"
                     )
-        if self.loss is not None and self.loss.kind in TOPOLOGY_LOSS_KINDS:
-            if self.topology is None:
+        if self.loss is not None:
+            expect(isinstance(self.loss.kind, str), "loss.kind", "a string",
+                   self.loss.kind)
+            if self.loss.kind in TOPOLOGY_LOSS_KINDS and self.topology is None:
                 raise ScenarioError(
                     f"scenario {self.name!r}: loss kind "
                     f"{self.loss.kind!r} needs a topology"

@@ -1,14 +1,21 @@
-"""Trace-free trial execution over compiled round programs.
+"""Trace-free trial execution over the scenario's host timeline.
 
-This is the dynamic half of the Monte-Carlo fast path (the static half
-— :func:`repro.runtime.compiled.compile_program` — lowers a scenario
-into arrays once).  :func:`run_program` executes one seeded trial and
-accumulates a :class:`~repro.runtime.trial.TrialResult` **directly**:
-no ``Trace``, no ``SlotRecord``/``MessageInstanceRecord`` objects, no
-post-hoc ``summarize_trace`` pass.  Receiver sets are integer bitmasks,
-message/chain statistics are flat counters indexed by compiled ids, and
-radio-on time is accumulated per node in chronological order (so the
-floating-point sums match the reference's addition order bit for bit).
+TTW's host is time-triggered: which round of which mode runs when,
+when a mode change triggers, which slot records which message
+instance against which deadline, and which chain instances are judged
+are all fixed before the first trial, and loss only decides who hears
+each flood.  :func:`repro.mc.vectorized.unroll_timeline` computes that
+host timeline once per scenario (cached by
+:meth:`~repro.runtime.trial.TrialContext.timeline`), and
+:func:`run_program` executes one seeded trial by walking its rounds in
+order, doing only the per-trial work: it samples each flood, decides
+which slots deliver (beacon gating, or the ``LOCAL_BELIEF`` nodes'
+beliefs), adds radio-on time per node in chronological order (so the
+floating-point sums match the reference's addition order bit for
+bit), and reads the flow counts and chain completeness of a
+:class:`~repro.runtime.trial.TrialResult` off the slots' on-time
+flags.  No ``Trace``, no ``SlotRecord``/``MessageInstanceRecord``
+objects, no post-hoc ``summarize_trace`` pass.
 
 Bit-identity is the design constraint that shapes the samplers: the
 reference loss models consume a scalar ``random.Random`` stream one
@@ -29,14 +36,15 @@ equivalence suite (``tests/mc/test_fastpath.py``) asserts over a
 seed × policy × loss-model × mode-change matrix.
 
 This module is what ``engine="fast"`` runs; ``engine="vectorized"``
-(:mod:`repro.mc.vectorized`) implements the same primitives as tensor
-samplers and never steps down to this engine.
+(:mod:`repro.mc.vectorized`) walks the same timeline with tensor
+samplers, all trials at once, and never steps down to this engine.
 """
 
 from __future__ import annotations
 
-import math
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, Optional
+
+import numpy as np
 
 from ..runtime.compiled import SystemProgram, names_to_mask
 from ..runtime.loss import (
@@ -45,8 +53,9 @@ from ..runtime.loss import (
     PerfectLinks,
     loss_primitive,
 )
-from ..runtime.simulator import EPS, ModeRequest, NodePolicy
+from ..runtime.simulator import NodePolicy
 from ..runtime.trial import TrialResult
+from .vectorized import Timeline
 
 
 # -- loss samplers -----------------------------------------------------------
@@ -265,17 +274,21 @@ def build_sampler(
 
 def run_program(
     program: SystemProgram,
+    timeline: Timeline,
     sampler,
     duration: float,
-    mode_requests: Sequence[ModeRequest] = (),
     host_node: Optional[str] = None,
 ) -> TrialResult:
-    """Execute one trial of a compiled program and summarize it.
+    """Execute one trial over ``program``'s host timeline and summarize it.
 
-    Semantically equal to ``summarize_trace(RuntimeSimulator(...).run(
-    duration, mode_requests, host_node))`` — bit for bit, including
-    the floating-point accumulation order of radio-on time — but
-    without constructing any trace objects.
+    ``timeline`` is ``program`` unrolled over ``duration`` (what
+    :meth:`~repro.runtime.trial.TrialContext.timeline` returns); it
+    fixes every round, slot, deadline flag and chain check, so this
+    walk only samples floods and counts.  Semantically equal to
+    ``summarize_trace(RuntimeSimulator(...).run(duration,
+    mode_requests, host_node))`` — bit for bit, including the
+    floating-point accumulation order of radio-on time — but without
+    constructing any trace objects.
     """
     host_index = program.resolve_host(host_node)
     if host_index is None:
@@ -288,137 +301,52 @@ def run_program(
 
     beacon_on = program.radio_beacon_on
     data_on = program.radio_data_on
-    radio = [0.0] * node_count if beacon_on is not None else None
+    account_radio = beacon_on is not None
+    radio = [0.0] * node_count
 
-    requests = sorted(mode_requests, key=lambda r: r.time)
-    request_count = len(requests)
-    request_idx = 0
+    # Slot rows and transmit tables by global round id.
+    rounds_by_uid = [
+        program.modes[mode_id].slot_rows[index]
+        for mode_id, index in zip(program.uid_mode, program.uid_index)
+    ]
+    if local_belief:
+        # Round id U (the last entry) is "no belief yet": it transmits
+        # nowhere and is its own successor.
+        successor = timeline.belief_successor.tolist()
+        transmits = [
+            program.modes[mode_id].tx_slot_masks[index]
+            for mode_id, index in zip(program.uid_mode, program.uid_index)
+        ] + [(0,) * node_count]
+        resets = timeline.round_reset.tolist()
+        beliefs = [len(successor) - 1] * node_count
 
-    mode_programs = program.modes
-    uid_mode = program.uid_mode
-    uid_index = program.uid_index
-    drain_rows = program.drain_rows
-
-    current_id = program.initial_mode
-    mode_program = mode_programs[current_id]
-    mode_origin = 0.0
-
-    pending_target: Optional[int] = None
-    requested_at = 0.0
-    announced_at: Optional[float] = None
-    drain_deadline: Optional[float] = None
-    app_stop_time: Dict[int, float] = {}
-
-    occurrence = 0
-    round_cursor = 0
-
-    rounds = 0
     heard = 0
     collisions = 0
-    switches: List[tuple] = []
+    slot_delivered = []  # per executed slot, in timeline order
 
-    gid_count = len(program.message_names)
-    on_time_counts = [0] * gid_count
-    delivered_counts = [0] * gid_count
-    total_counts = [0] * gid_count
-    seen = [False] * gid_count
-    seen_order: List[int] = []
-    msg_on_time: Dict[tuple, int] = {}
-
-    beliefs = [-1] * node_count if local_belief else None
-
-    while True:
-        if mode_program.num_rounds == 0:
-            break
-        round_time = (
-            mode_origin
-            + occurrence * mode_program.hyperperiod
-            + mode_program.round_starts_list[round_cursor]
-        )
-        if round_time >= duration - EPS:
-            break
-
-        # Service mode requests that arrived before this round.
-        while (
-            request_idx < request_count
-            and requests[request_idx].time <= round_time + EPS
-        ):
-            request = requests[request_idx]
-            request_idx += 1
-            if pending_target is None and request.target_mode_id != current_id:
-                if request.target_mode_id not in mode_programs:
-                    raise ValueError(
-                        f"mode request for unknown id {request.target_mode_id}"
-                    )
-                pending_target = request.target_mode_id
-                requested_at = request.time
-
-        # Host transition bookkeeping (announce, drain, trigger).
-        trigger = False
-        if pending_target is not None:
-            if announced_at is None:
-                announced_at = round_time
-                drain = announced_at
-                for period, deadline in drain_rows[current_id]:
-                    elapsed = max(0.0, announced_at - mode_origin)
-                    last_release = (
-                        mode_origin + math.floor(elapsed / period) * period
-                    )
-                    drain = max(drain, last_release + deadline)
-                drain_deadline = drain
-                app_stop_time[current_id] = announced_at
-            if drain_deadline is not None and round_time >= drain_deadline - EPS:
-                trigger = True
-        stop_time = app_stop_time.get(current_id)
-
-        # Beacon flood.
+    for round_index, uid in enumerate(timeline.round_uid.tolist()):
         beacon_mask = sampler.beacon_mask(host_index)
-        rounds += 1
         heard += beacon_mask.bit_count()
 
-        if radio is not None:
+        if account_radio:
             for index in range(node_count):
                 radio[index] += beacon_on
 
-        # LOCAL_BELIEF: resolve each node's predicted round once.
         if local_belief:
-            current_uid = mode_program.uid_base + round_cursor
-            tx_masks = mode_program.tx_slot_masks
+            # Each node acts on the round it believes executes: the
+            # announced one when it heard the beacon, else the
+            # successor of its previous belief.
             predicted_masks = []
             for index in range(node_count):
                 if beacon_mask >> index & 1:
-                    beliefs[index] = current_uid
-                    predicted_masks.append(tx_masks[round_cursor][index])
+                    belief = uid
                 else:
-                    belief = beliefs[index]
-                    if belief < 0:
-                        predicted_masks.append(0)
-                        continue
-                    belief_mode = uid_mode[belief]
-                    belief_program = mode_programs[belief_mode]
-                    next_uid = belief_program.uid_base + (
-                        (uid_index[belief] + 1) % belief_program.num_rounds
-                    )
-                    beliefs[index] = next_uid
-                    predicted_masks.append(
-                        belief_program.tx_slot_masks[uid_index[next_uid]][index]
-                    )
+                    belief = successor[beliefs[index]]
+                beliefs[index] = belief
+                predicted_masks.append(transmits[belief][index])
 
-        # Data slots.
-        for slot_index, row in enumerate(mode_program.slot_rows[round_cursor]):
-            (
-                gid,
-                sender_index,
-                sender_bit,
-                consumers_mask,
-                record,
-                period,
-                offset,
-                deadline,
-                per_hp,
-                pos_minus_leftover,
-                shift,
-            ) = row
+        for slot_index, row in enumerate(rounds_by_uid[uid]):
+            sender_index, sender_bit, consumers_mask = row[1:4]
 
             if local_belief:
                 tx_mask = 0
@@ -439,136 +367,49 @@ def run_program(
                 tx_mask = sender_bit if delivering else 0
 
             receive_mask = sampler.data_mask(sender_index) if delivering else 0
+            slot_delivered.append(
+                delivering
+                and consumers_mask != 0
+                and receive_mask & consumers_mask == consumers_mask
+            )
 
-            if radio is not None and (beacon_mask or tx_mask):
+            if account_radio and (beacon_mask or tx_mask):
                 participants = beacon_mask | tx_mask
                 while participants:
                     low = participants & -participants
                     radio[low.bit_length() - 1] += data_on
                     participants ^= low
 
-            if not record:
-                continue
-            instance = occurrence * per_hp + pos_minus_leftover
-            if instance < 0:
-                continue  # serves an instance from before the mode started
-            if stop_time is not None:
-                app_release = mode_origin + (instance - shift) * period
-                if app_release >= stop_time - EPS:
-                    continue
-            release = mode_origin + instance * period + offset
-            if (
-                delivering
-                and consumers_mask
-                and receive_mask & consumers_mask == consumers_mask
-            ):
-                delivered = 1
-                abs_deadline = release + deadline
-                on_time = 1 if round_time <= abs_deadline + 1e-9 else 0
-            else:
-                delivered = 0
-                on_time = 0
-            total_counts[gid] += 1
-            delivered_counts[gid] += delivered
-            on_time_counts[gid] += on_time
-            if not seen[gid]:
-                seen[gid] = True
-                seen_order.append(gid)
-            msg_on_time[(gid, instance)] = on_time
+        if local_belief and resets[round_index] >= 0:
+            # Nodes that heard a mode-switch beacon predict round 0 of
+            # the new mode next.
+            for index in range(node_count):
+                if beacon_mask >> index & 1:
+                    beliefs[index] = resets[round_index]
 
-        if trigger and pending_target is not None:
-            # New mode starts directly after this round ends.
-            new_origin = round_time + mode_program.round_length
-            switches.append(
-                (requested_at, new_origin, current_id, pending_target)
+    # -- read the counts off the per-slot flags ----------------------------
+    delivered = np.array(slot_delivered, dtype=bool)
+    on_time = delivered & timeline.slot_deadline_ok
+    # Chain checks index S (a missing instance) and S + 1 (padding).
+    padded = np.append(on_time, (False, True))
+
+    return TrialResult(
+        rounds=timeline.num_rounds,
+        collisions=collisions,
+        beacon_heard=(heard, node_count * timeline.num_rounds),
+        messages={
+            program.message_names[gid]: (
+                int(np.count_nonzero(on_time[slots])),
+                int(np.count_nonzero(delivered[slots])),
+                len(slots),
             )
-            current_id = pending_target
-            mode_program = mode_programs[current_id]
-            mode_origin = new_origin
-            occurrence = 0
-            round_cursor = 0
-            pending_target = None
-            announced_at = None
-            drain_deadline = None
-            if local_belief:
-                # Nodes that heard the SB beacon switch; for prediction
-                # the next round is round 0 of the new mode, i.e. the
-                # successor of its last round in cyclic order.
-                last_uid = mode_program.uid_base + mode_program.num_rounds - 1
-                for index in range(node_count):
-                    if beacon_mask >> index & 1:
-                        beliefs[index] = last_uid
-            continue
-
-        round_cursor += 1
-        if round_cursor >= mode_program.num_rounds:
-            round_cursor = 0
-            occurrence += 1
-
-    # -- chain accounting (the reference's _account_chains) ---------------
-    chains_complete: Dict[str, int] = {}
-    chains_total: Dict[str, int] = {}
-    segments: List[tuple] = []
-    start = 0.0
-    segment_mode = program.initial_mode
-    for req_at, new_start, _from_mode, to_mode in switches:
-        segments.append((segment_mode, start, new_start))
-        start = new_start
-        segment_mode = to_mode
-    segments.append((segment_mode, start, duration))
-
-    for mode_id, seg_start, seg_end in segments:
-        stop = app_stop_time.get(mode_id, math.inf)
-        horizon = min(seg_end, stop, duration)
-        for app_name, period, chains in program.chain_rows[mode_id]:
-            for first_offset, latency, checks in chains:
-                k = 0
-                while True:
-                    app_release = seg_start + k * period
-                    release = app_release + first_offset
-                    if app_release >= horizon - EPS:
-                        break
-                    completion = release + latency
-                    if completion > duration + EPS:
-                        # Cannot be judged within the horizon.
-                        break
-                    complete = True
-                    for gid, shift in checks:
-                        if not msg_on_time.get((gid, k + shift)):
-                            complete = False
-                            break
-                    chains_total[app_name] = chains_total.get(app_name, 0) + 1
-                    if complete:
-                        chains_complete[app_name] = (
-                            chains_complete.get(app_name, 0) + 1
-                        )
-                    k += 1
-
-    # -- assemble the summary ---------------------------------------------
-    result = TrialResult(duration=duration)
-    result.rounds = rounds
-    result.collisions = collisions
-    result.beacon_heard = (heard, node_count * rounds)
-    result.messages = {
-        program.message_names[gid]: (
-            on_time_counts[gid],
-            delivered_counts[gid],
-            total_counts[gid],
-        )
-        for gid in seen_order
-    }
-    result.chains = {
-        app: (chains_complete.get(app, 0), total)
-        for app, total in chains_total.items()
-    }
-    if radio is not None:
-        result.radio_on = {
-            name: radio[index]
-            for index, name in enumerate(program.node_names)
-        }
-    else:
-        result.radio_on = {name: 0.0 for name in program.node_names}
-    result.switch_delays = [
-        new_start - req_at for req_at, new_start, _f, _t in switches
-    ]
-    return result
+            for gid, slots in timeline.flow_slots
+        },
+        chains={
+            app: (int(np.count_nonzero(padded[checks].all(axis=1))), total)
+            for app, total, checks in timeline.chain_programs
+        },
+        radio_on=dict(zip(program.node_names, radio)),
+        switch_delays=list(timeline.switch_delays),
+        duration=duration,
+    )

@@ -1,23 +1,26 @@
-"""Vectorized campaign kernel — all trials of a grid point at once.
+"""The host timeline and the vectorized campaign kernel.
 
-The compiled fast path (:mod:`repro.mc.fastpath`) removed the trace but
-still runs **one Python loop per trial**.  This module removes that
-loop too, exploiting a structural fact of the host: the round timeline
-— which round of which mode executes when, when mode changes trigger,
-which slot records which message instance against which deadline — is
-**fully deterministic** under both node policies.  Loss only decides
-who *receives* each flood (and, under ``LOCAL_BELIEF``, which nodes
-transmit), never what the host schedules.  So a grid point factors
-into three array-programming stages:
+TTW's host is time-triggered, and this module exploits that: the round
+timeline — which round of which mode executes when, when mode changes
+trigger, which slot records which message instance against which
+deadline — is **fully deterministic** under both node policies.  Loss
+only decides who *receives* each flood (and, under ``LOCAL_BELIEF``,
+which nodes transmit), never what the host schedules.
+:func:`unroll_timeline` is the one compiled definition of the host's
+control flow; both compiled engines walk its :class:`Timeline` — the
+fast path (:mod:`repro.mc.fastpath`) one trial at a time on the
+reference's scalar streams, and this kernel all trials of a grid point
+at once.  The kernel factors a grid point into three array-programming
+stages:
 
 1. :func:`unroll_timeline` — walk the compiled round program once
-   (exactly :func:`repro.mc.fastpath.run_program`'s control flow, with
-   the sampling stripped out) into a :class:`Timeline`: flat arrays
-   over the executed rounds and slots, the deterministic per-flow
-   instance totals, the chain-check index matrices, the switch
-   delays, and the round ids the ``LOCAL_BELIEF`` belief scan needs.
-   Computed once per scenario and cached on the
-   :class:`~repro.runtime.trial.TrialContext`.
+   (the reference simulator's control flow: round scheduling,
+   mode-request servicing, drain deadlines, instance gating, chain
+   accounting) into a :class:`Timeline`: flat arrays over the executed
+   rounds and slots, the deterministic per-flow instance totals, the
+   chain-check index matrices, the switch delays, and the round ids
+   the ``LOCAL_BELIEF`` belief scan needs.  Computed once per scenario
+   and cached on the :class:`~repro.runtime.trial.TrialContext`.
 2. **Sampling** — the full loss bitmask tensor for every trial up
    front: ``beacon[trials, rounds, nodes]`` and ``data[trials, slots,
    nodes]`` boolean arrays, compared against counter-based uniforms
@@ -110,11 +113,14 @@ TENSOR_BUDGET_BYTES = 128 * 1024 * 1024
 
 @dataclass(frozen=True)
 class Timeline:
-    """The deterministic skeleton shared by every trial of a scenario.
+    """The host's deterministic schedule, shared by every trial of a
+    scenario.
 
-    Everything :func:`repro.mc.fastpath.run_program` derives per trial
-    that does *not* depend on the loss realization, flattened over the
-    executed rounds (``R``) and data slots (``S``) of the full horizon.
+    Everything about a trial that does *not* depend on the loss
+    realization, flattened over the executed rounds (``R``) and data
+    slots (``S``) of the full horizon.  Both compiled engines read it:
+    :func:`repro.mc.fastpath.run_program` walks it one trial at a time,
+    :func:`accumulate_trials` reduces over it for a tensor of trials.
 
     Attributes:
         num_rounds: Executed rounds ``R``.
@@ -179,10 +185,12 @@ def _belief_tables(program: SystemProgram) -> Tuple[np.ndarray, np.ndarray]:
     """The ``LOCAL_BELIEF`` prediction tables over global round ids.
 
     ``successor[u]`` is the round a node that believes ``u`` just
-    executed predicts next (:func:`repro.mc.fastpath.run_program`'s
-    ``uid_base + (uid_index + 1) % num_rounds``), and
+    executed predicts next (``uid_base + (uid_index + 1) %
+    num_rounds``, the reference simulator's rule), and
     ``transmits[u, n, p]`` unpacks the compiled ``tx_slot_masks``.
-    Both get a trailing sentinel row for "no belief yet".
+    Both get a trailing sentinel row for "no belief yet".  These are
+    the only copy of the successor rule; the fast path reads
+    ``successor`` too.
     """
     count = len(program.uid_mode)
     nodes = len(program.node_names)
@@ -215,12 +223,14 @@ def unroll_timeline(
 ) -> Timeline:
     """Walk the compiled program once into its :class:`Timeline`.
 
-    Replays :func:`repro.mc.fastpath.run_program`'s control flow —
+    This is the only compiled definition of the host's control flow —
     round scheduling, mode-request servicing, drain deadlines, the
-    instance/stop-time gating of every slot, chain accounting — with
-    identical plain-float arithmetic, so the deterministic outputs
-    (instance totals, deadline flags, switch delays) equal the fast
-    engine's exactly.
+    instance/stop-time gating of every slot, chain accounting.  It
+    mirrors the reference simulator's run loop with identical
+    plain-float arithmetic, so the deterministic outputs (instance
+    totals, deadline flags, switch delays) equal the reference's
+    exactly, and the fast engine, which walks this timeline, stays
+    bit-identical to it.
 
     The host's control flow is the same under both node policies:
     under ``LOCAL_BELIEF`` only *who transmits* depends on the loss
@@ -503,8 +513,8 @@ def slot_delivery(
     beacon), and a node that heard a mode-switch beacon resets to the
     new mode's last round.  That recurrence is sequential in rounds and
     parallel in trials, so it runs as **one** loop over ``R`` on a
-    ``(trials, nodes)`` belief matrix — the tensor form of
-    :func:`repro.mc.fastpath.run_program`'s per-node loop.  A slot
+    ``(trials, nodes)`` belief matrix (:func:`repro.mc.fastpath.run_program`
+    walks the same recurrence one trial at a time).  A slot
     delivers when exactly one node transmits in it and that node is
     the scheduled sender; more than one transmitter is a collision.
     """

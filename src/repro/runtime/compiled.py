@@ -1,4 +1,4 @@
-"""Compiled round programs — the Monte-Carlo fast path's static half.
+"""Compiled round programs — the static half of both compiled engines.
 
 The reference :class:`~repro.runtime.simulator.RuntimeSimulator` walks
 Python objects slot by slot and materializes a full
@@ -8,13 +8,13 @@ trials that is pure interpreter overhead: everything about a round
 except the loss realization is known *before the first trial runs*.
 
 :func:`compile_program` lowers a deployment set into an immutable
-:class:`SystemProgram` — numpy arrays plus loop-friendly per-round rows
-— computed **once per scenario** and reused by every trial:
+:class:`SystemProgram` of plain per-round rows, computed **once per
+scenario** and reused by every trial:
 
 * node names become dense indices (sorted order, the same order every
   loss model consumes its random stream in), so receiver sets become
   integer bitmasks;
-* every slot of every round of every mode becomes one flat record:
+* every slot of every round of every mode becomes one row tuple:
   message id, sender index, consumer bitmask, period/offset/deadline,
   the ``instance = occurrence * per_hp + position - leftover``
   bookkeeping, and the sigma shift of the drain rule — exactly the
@@ -26,15 +26,17 @@ except the loss realization is known *before the first trial runs*.
 * the radio-on constants (beacon/data slot on-times) are evaluated
   once instead of per round.
 
-The dynamic half — sampling losses and accumulating a
-:class:`~repro.runtime.trial.TrialResult` without ever constructing
-``Trace``/``SlotRecord`` objects — lives in :mod:`repro.mc.fastpath`.
-The contract binding the two: a fast trial is **bit-identical** to
-``summarize_trace`` of the reference simulator under the same seed
-(asserted by ``tests/mc/test_fastpath.py`` over a seed × policy ×
-loss-model matrix).  Anything the compiler cannot prove it supports
-raises :class:`CompileError`, and the caller falls back to the
-reference simulator.
+:func:`repro.mc.vectorized.unroll_timeline` walks this program once
+into the scenario's deterministic host timeline; both compiled
+engines run their trials over that timeline — :mod:`repro.mc.fastpath`
+one trial at a time on the reference's scalar random streams,
+:mod:`repro.mc.vectorized` all trials at once as tensors.  The
+contract binding ``fast`` to the reference: a fast trial is
+**bit-identical** to ``summarize_trace`` of the reference simulator
+under the same seed (asserted by ``tests/mc/test_fastpath.py`` over a
+seed × policy × loss-model matrix).  Anything the compiler cannot
+prove it supports raises :class:`CompileError`, and the caller falls
+back to the reference simulator.
 """
 
 from __future__ import annotations
@@ -42,8 +44,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
-
-import numpy as np
 
 from ..core.latency import chain_latency
 from ..core.modes import Mode
@@ -61,87 +61,40 @@ class CompileError(Exception):
     """
 
 
-#: Per-slot row layout (``ModeProgram.slot_rows``):
-#: ``(gid, sender_index, sender_bit, consumers_mask, record, period,
-#:   offset, deadline, per_hp, position_minus_leftover, shift)``.
-SLOT_FIELDS = (
-    "gid",
-    "sender_index",
-    "sender_bit",
-    "consumers_mask",
-    "record",
-    "period",
-    "offset",
-    "deadline",
-    "per_hp",
-    "position_minus_leftover",
-    "shift",
-)
-
-
 @dataclass(frozen=True)
 class ModeProgram:
-    """One mode's rounds, lowered to arrays.
+    """One mode's rounds, lowered to plain Python rows.
 
-    The numpy arrays are the canonical, inspectable representation
-    (``slot_offsets`` delimits rounds in the flat slot arrays);
-    ``round_starts_list`` and ``slot_rows`` are the same data as plain
-    Python objects, pre-extracted so the per-round execution loop never
-    touches numpy scalars (scalar indexing into arrays is slower than
-    tuple access, and the executor's arithmetic must be plain-float to
-    match the reference simulator bit for bit).
+    Rows are tuples of plain Python ints and floats: the timeline
+    unroll's arithmetic must be plain-float to match the reference
+    simulator bit for bit, and tuple access is what a per-round Python
+    loop reads fastest.
 
     Attributes:
-        mode_id: Beacon-visible mode id.
         num_rounds: Rounds per hyperperiod.
         hyperperiod: Mode hyperperiod (ms).
         round_length: Round length (ms) — the new-mode origin offset.
         uid_base: Globally unique id of this mode's round 0.
-        round_starts: ``r.t`` per round index, relative to the
-            hyperperiod (float64 array).
-        slot_offsets: int32 array of length ``num_rounds + 1``; round
-            ``r``'s slots are ``slice(slot_offsets[r],
-            slot_offsets[r+1])`` of the flat arrays.
-        slot_gid: Global message id per slot (int32).
-        slot_sender: Transmitting node index per slot (int32).
-        slot_period / slot_offset / slot_deadline: Message timing per
-            slot (float64; period is NaN for unrecorded slots).
-        slot_per_hp / slot_pos_minus_leftover / slot_shift: Instance
-            bookkeeping per slot (int32).
-        slot_record: Whether the slot records a message instance
-            (bool); False only for messages outside every application.
-        slot_consumers: Consumer bitmask per slot (Python ints — node
-            counts are unbounded, int64 is not).
-        round_starts_list / slot_rows: Loop-friendly views (see above).
+        round_starts_list: ``r.t`` per round index, relative to the
+            hyperperiod (ms).
+        slot_rows: Per round index, one row per allocated message, in
+            slot order: ``(gid, sender_index, sender_bit,
+            consumers_mask, record, period, offset, deadline, per_hp,
+            position_minus_leftover, shift)``.  ``record`` is False
+            only for messages outside every application (their
+            ``period`` is NaN).
         tx_slot_masks: Per round-index, per node-index bitmask of slot
             indices the node transmits in — the ``LOCAL_BELIEF``
             transmit tables.
     """
 
-    mode_id: int
     num_rounds: int
     hyperperiod: float
     round_length: float
     uid_base: int
-    round_starts: np.ndarray
-    slot_offsets: np.ndarray
-    slot_gid: np.ndarray
-    slot_sender: np.ndarray
-    slot_period: np.ndarray
-    slot_offset: np.ndarray
-    slot_deadline: np.ndarray
-    slot_per_hp: np.ndarray
-    slot_pos_minus_leftover: np.ndarray
-    slot_shift: np.ndarray
-    slot_record: np.ndarray
-    slot_consumers: Tuple[int, ...]
     round_starts_list: Tuple[float, ...]
     slot_rows: Tuple[Tuple[tuple, ...], ...]
     tx_slot_masks: Tuple[Tuple[int, ...], ...]
-
-    @property
-    def num_slots(self) -> int:
-        return len(self.slot_gid)
 
 
 @dataclass(frozen=True)
@@ -280,7 +233,7 @@ def compile_program(
         deployment = deployments[mode_id]
         mode = modes[mode_id]
         mode_programs[mode_id] = _compile_mode(
-            mode_id, deployment, node_index, gid, uid_base[mode_id]
+            deployment, node_index, gid, uid_base[mode_id]
         )
         drain_rows[mode_id] = tuple(
             (app.period, app.deadline) for app in mode.applications
@@ -320,7 +273,6 @@ def compile_program(
 
 
 def _compile_mode(
-    mode_id: int,
     deployment: ModeDeployment,
     node_index: Dict[str, int],
     gid,
@@ -336,40 +288,29 @@ def _compile_mode(
         for message in messages:
             allocated.setdefault(message, []).append(r_index)
 
-    offsets = [0]
-    gids: List[int] = []
-    senders: List[int] = []
-    periods: List[float] = []
-    msg_offsets: List[float] = []
-    deadlines: List[float] = []
-    per_hps: List[int] = []
-    pos_minus_leftovers: List[int] = []
-    shifts: List[int] = []
-    records: List[bool] = []
-    consumers_masks: List[int] = []
-
+    slot_rows = []
     for r_index, messages in enumerate(deployment.round_messages):
+        rows = []
         for message in messages:
-            sender = deployment.message_senders[message]
+            sender = node_index[deployment.message_senders[message]]
             period = deployment.message_periods.get(message)
             rounds_of = allocated[message]
-            gids.append(gid(message))
-            senders.append(node_index[sender])
-            records.append(period is not None)
-            periods.append(math.nan if period is None else period)
-            msg_offsets.append(schedule.message_offsets[message])
-            deadlines.append(schedule.message_deadlines[message])
-            per_hps.append(len(rounds_of))
-            pos_minus_leftovers.append(
-                rounds_of.index(r_index) - schedule.leftover.get(message, 0)
-            )
-            shifts.append(deployment.message_shifts.get(message, 0))
-            consumers_masks.append(
+            rows.append((
+                gid(message),
+                sender,
+                1 << sender,
                 names_to_mask(
                     deployment.message_consumers[message], node_index
-                )
-            )
-        offsets.append(len(gids))
+                ),
+                period is not None,
+                math.nan if period is None else period,
+                schedule.message_offsets[message],
+                schedule.message_deadlines[message],
+                len(rounds_of),
+                rounds_of.index(r_index) - schedule.leftover.get(message, 0),
+                deployment.message_shifts.get(message, 0),
+            ))
+        slot_rows.append(tuple(rows))
 
     # LOCAL_BELIEF transmit tables: per (round index, node index), the
     # bitmask of slot indices the node's deployment table assigns it.
@@ -383,50 +324,15 @@ def _compile_mode(
             row[node_index[name]] = mask
         tx_slot_masks.append(tuple(row))
 
-    slot_rows = tuple(
-        tuple(
-            (
-                gids[s],
-                senders[s],
-                1 << senders[s],
-                consumers_masks[s],
-                records[s],
-                periods[s],
-                msg_offsets[s],
-                deadlines[s],
-                per_hps[s],
-                pos_minus_leftovers[s],
-                shifts[s],
-            )
-            for s in range(offsets[r], offsets[r + 1])
-        )
-        for r in range(num_rounds)
-    )
-
     return ModeProgram(
-        mode_id=mode_id,
         num_rounds=num_rounds,
         hyperperiod=deployment.hyperperiod,
         round_length=schedule.config.round_length,
         uid_base=uid_base,
-        round_starts=np.asarray(deployment.round_starts, dtype=np.float64),
-        slot_offsets=np.asarray(offsets, dtype=np.int32),
-        slot_gid=np.asarray(gids, dtype=np.int32),
-        slot_sender=np.asarray(senders, dtype=np.int32),
-        slot_period=np.asarray(periods, dtype=np.float64),
-        slot_offset=np.asarray(msg_offsets, dtype=np.float64),
-        slot_deadline=np.asarray(deadlines, dtype=np.float64),
-        slot_per_hp=np.asarray(per_hps, dtype=np.int32),
-        slot_pos_minus_leftover=np.asarray(
-            pos_minus_leftovers, dtype=np.int32
-        ),
-        slot_shift=np.asarray(shifts, dtype=np.int32),
-        slot_record=np.asarray(records, dtype=bool),
-        slot_consumers=tuple(consumers_masks),
         round_starts_list=tuple(
             float(start) for start in deployment.round_starts
         ),
-        slot_rows=slot_rows,
+        slot_rows=tuple(slot_rows),
         tx_slot_masks=tuple(tx_slot_masks),
     )
 

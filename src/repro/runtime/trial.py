@@ -363,11 +363,12 @@ def summarize_trace(trace: Trace) -> TrialResult:
 class TrialContext:
     """Everything shared by the trials of one scenario.
 
-    The compiled round program (see :mod:`repro.runtime.compiled`) is
-    part of the shared state: :meth:`compiled` lowers the deployments
-    exactly once per context — i.e. once per worker process, through
-    the trial pool's context cache — and every fast-path trial reuses
-    the immutable program.
+    The compiled round program (see :mod:`repro.runtime.compiled`) and
+    its host timeline are part of the shared state: :meth:`compiled`
+    lowers the deployments and :meth:`timeline` unrolls the host's
+    schedule exactly once per context — i.e. once per worker process,
+    through the trial pool's context cache — and every compiled trial
+    reuses both.
     """
 
     modes: Dict[int, Mode]
@@ -411,10 +412,15 @@ class TrialContext:
         return self._compile_error
 
     def timeline(self):
-        """The unrolled deterministic :class:`~repro.mc.vectorized.Timeline`
-        of the scenario (under either node policy), or ``None`` when the
-        scenario does not compile (:attr:`compile_error` then says
-        why).  Computed once per context, like :meth:`compiled`."""
+        """The scenario's host timeline
+        (:class:`~repro.mc.vectorized.Timeline`, under either node
+        policy), or ``None`` when the scenario does not compile
+        (:attr:`compile_error` then says why).
+
+        The host's schedule does not depend on the loss realization,
+        so it is unrolled once per context, like :meth:`compiled`, and
+        both compiled engines walk it: ``fast`` one trial at a time,
+        ``vectorized`` all trials of a batch at once."""
         if self._timeline is False:
             program = self.compiled()
             if program is None:
@@ -615,9 +621,9 @@ def run_trial(
         sampler = build_sampler(loss_kind, loss, program)
         return run_program(
             program,
+            context.timeline(),
             sampler,
             context.duration,
-            mode_requests=context.mode_requests,
             host_node=context.host_node,
         )
     simulator = RuntimeSimulator(

@@ -1,6 +1,7 @@
 """Scenario descriptions: construction, validation, JSON round-trips."""
 
 import json
+import math
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -109,6 +110,44 @@ class TestValidation:
             topology=TopologySpec("grid2d", {"rows": 2, "cols": 2}),
             loss=LossSpec("spatial", {"shadowing_db": 3.0}),
         ).validate()
+
+    @pytest.mark.parametrize(
+        "duration", [None, "x", True, -5.0, 0, math.inf, math.nan],
+        ids=repr,
+    )
+    def test_duration_must_be_finite_positive(self, duration):
+        scenario = two_mode_scenario(
+            simulation=SimulationSpec(duration=duration)
+        )
+        with pytest.raises(ScenarioError, match="simulation.duration"):
+            scenario.validate()
+
+    @pytest.mark.parametrize("path", [
+        ("backend",),
+        ("config", "backend"),
+        ("config", "time_limit"),
+        ("loss", "kind"),
+        ("modes", 0, "name"),
+        ("transitions", 0, 1),
+        ("simulation", "initial_mode"),
+        ("simulation", "mode_requests", 0, 1),
+    ], ids=lambda path: ".".join(map(str, path)))
+    def test_wrong_json_type_is_a_scenario_error(self, path):
+        """A list where a name, kind or number belongs fails validation,
+        not a set or dict lookup with ``TypeError``."""
+        data = two_mode_scenario(
+            loss=LossSpec("bernoulli", {"beacon_loss": 0.1}),
+            simulation=SimulationSpec(
+                duration=100.0, mode_requests=((40.0, "emergency"),)
+            ),
+        ).to_dict()
+        node = data
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = []
+        scenario = Scenario.from_dict(data)
+        with pytest.raises(ScenarioError, match="must be"):
+            scenario.validate()
 
 
 class TestSpecBuilders:

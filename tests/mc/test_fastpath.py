@@ -199,6 +199,23 @@ class TestEquivalenceMatrix:
         reference = assert_engines_identical(context, "bernoulli", params)
         assert reference.collisions == 0
 
+    def test_late_deliveries_identical(self):
+        """A delivery after its deadline is delivered but not on time.
+
+        A synthesized schedule never serves a message late (a round
+        may serve it right at its release), so this moves one message's
+        deadline before its release before compiling: both engines must
+        then count the same late instances and the same broken chains.
+        """
+        context = context_for(switching_scenario(loss=None))
+        schedule = context.deployments[min(context.deployments)].schedule
+        late = sorted(schedule.message_deadlines)[0]
+        schedule.message_deadlines[late] = -1.0
+        params = {"beacon_loss": 0.1, "data_loss": 0.1, "seed": 3}
+        reference = assert_engines_identical(context, "bernoulli", params)
+        on_time, delivered, _total = reference.messages[late]
+        assert on_time < delivered
+
 
 class TestFallback:
     """Unsupported features run the reference engine, transparently."""
@@ -379,10 +396,9 @@ class TestProgramCompilation:
             deployment = context.deployments[mode_id]
             assert mode_program.num_rounds == deployment.num_rounds
             assert len(mode_program.slot_rows) == deployment.num_rounds
-            # Flat arrays and per-round rows describe the same slots.
-            assert mode_program.slot_offsets[-1] == mode_program.num_slots
-            assert sum(len(r) for r in mode_program.slot_rows) == \
-                mode_program.num_slots
+            # One slot row per allocated message.
+            assert sum(len(rows) for rows in mode_program.slot_rows) == \
+                sum(len(m) for m in deployment.round_messages)
         # Round uids partition [0, total) in sorted-mode order, exactly
         # like the reference simulator's assignment.
         total = sum(p.num_rounds for p in program.modes.values())
@@ -424,6 +440,27 @@ class TestCampaignEngines:
                                                reference.points):
             assert fast_point.stats.to_dict() == \
                 reference_point.stats.to_dict()
+
+    def test_fast_campaign_unrolls_the_timeline_once(self, tmp_path,
+                                                     monkeypatch):
+        """The host schedule is per scenario, not per trial: every fast
+        trial of every grid point walks one cached timeline."""
+        import repro.mc.vectorized as vectorized
+
+        unroll = vectorized.unroll_timeline
+        calls = []
+
+        def counting_unroll(*args, **kwargs):
+            calls.append(args)
+            return unroll(*args, **kwargs)
+
+        monkeypatch.setattr(vectorized, "unroll_timeline", counting_unroll)
+        result = run_campaign(self.make_scenario(trials=20), engine="fast",
+                              jobs=1, cache_dir=tmp_path / "cache",
+                              sweep={"data_loss": [0.0, 0.2]})
+        assert result.engines == {"switchy": "fast"}
+        assert [len(point.batch) for point in result.points] == [20, 20]
+        assert len(calls) == 1
 
     def test_default_engine_is_fast(self, tmp_path):
         explicit = run_campaign(self.make_scenario(), jobs=1,

@@ -92,8 +92,17 @@ class TestErrorMapping:
         assert err.value.status == 400
 
     @pytest.mark.parametrize(
-        "scenario", [{"kind": "not-a-scenario"}, [], "x", 3],
-        ids=["wrong-kind", "list", "string", "int"],
+        "scenario", [
+            {"kind": "not-a-scenario"}, [], "x", 3,
+            # Sent as JSON ``Infinity``: used to simulate forever.
+            dict(make_scenario().to_dict(),
+                 simulation=dict(make_scenario().simulation.to_dict(),
+                                 duration=float("inf"))),
+            # Used to raise TypeError: a 500 ``internal``.
+            dict(make_scenario().to_dict(), loss={"kind": [], "params": {}}),
+        ],
+        ids=["wrong-kind", "list", "string", "int", "infinite-duration",
+             "list-loss-kind"],
     )
     def test_bad_scenario_400(self, client, scenario):
         with pytest.raises(ServiceError) as err:

@@ -346,6 +346,20 @@ class TestMalformedInputFiles:
         assert message in err
         assert "Traceback" not in err
 
+    def test_infinite_duration_is_a_clean_error(self, scenario_file,
+                                                tmp_path, capsys):
+        """``"duration": Infinity`` used to simulate forever."""
+        data = json.loads(scenario_file.read_text())
+        data["simulation"]["duration"] = float("inf")
+        bad = tmp_path / "forever.scenario.json"
+        bad.write_text(json.dumps(data))
+        assert "Infinity" in bad.read_text()
+        assert main(["scenario", "mc", str(bad), "--trials", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "simulation.duration" in err
+        assert "Traceback" not in err
+
     def test_legacy_spec_missing_field(self, tmp_path, capsys):
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps({"config": {"round_length": 1.0},
