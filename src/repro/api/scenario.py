@@ -60,6 +60,18 @@ def _is_real(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def _is_int(value) -> bool:
+    """A JSON integer: an ``int``, never a ``bool``."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _params_of(data: dict):
+    """A spec's ``params``, copied; a non-object stays as given, for
+    :meth:`Scenario.validate` to reject."""
+    params = data.get("params", {})
+    return dict(params) if isinstance(params, dict) else params
+
+
 def spec_to_dict(spec) -> Optional[dict]:
     """Serialize any spec dataclass (or ``None``) to a JSON dict."""
     if spec is None:
@@ -92,7 +104,7 @@ class TopologySpec:
     def from_dict(cls, data: Optional[dict]) -> Optional["TopologySpec"]:
         if data is None:
             return None
-        return cls(kind=data["kind"], params=dict(data.get("params", {})))
+        return cls(kind=data["kind"], params=_params_of(data))
 
 
 @dataclass(frozen=True)
@@ -127,7 +139,7 @@ class LossSpec:
     def from_dict(cls, data: Optional[dict]) -> Optional["LossSpec"]:
         if data is None:
             return None
-        return cls(kind=data["kind"], params=dict(data.get("params", {})))
+        return cls(kind=data["kind"], params=_params_of(data))
 
 
 @dataclass(frozen=True)
@@ -313,6 +325,18 @@ class Scenario:
                     f"scenario {self.name!r}: transition {source!r} -> "
                     f"{target!r} references an unknown mode"
                 )
+        if self.radio is not None:
+            payload, diameter = self.radio.payload_bytes, self.radio.diameter
+            expect(_is_int(payload) and payload >= 0, "radio.payload_bytes",
+                   "an integer >= 0", payload)
+            expect(diameter is None or (_is_int(diameter) and diameter >= 1),
+                   "radio.diameter", "an integer >= 1 (or null)", diameter)
+        for path, spec in (("topology", self.topology), ("loss", self.loss)):
+            if spec is not None:
+                expect(isinstance(spec.kind, str), f"{path}.kind",
+                       "a string", spec.kind)
+                expect(isinstance(spec.params, dict), f"{path}.params",
+                       "an object", spec.params)
         if self.simulation is not None:
             simulation = self.simulation
             duration = simulation.duration
@@ -320,13 +344,14 @@ class Scenario:
                    "simulation.duration", "a finite number > 0", duration)
             simulation.node_policy()
             trials = simulation.trials
-            expect(isinstance(trials, int) and not isinstance(trials, bool)
-                   and trials >= 1, "simulation.trials", "an integer >= 1",
-                   trials)
+            expect(_is_int(trials) and trials >= 1, "simulation.trials",
+                   "an integer >= 1", trials)
             seed = simulation.seed
-            expect(seed is None or (isinstance(seed, int)
-                                    and not isinstance(seed, bool)),
+            expect(seed is None or _is_int(seed),
                    "simulation.seed", "an integer or null", seed)
+            host = simulation.host_node
+            expect(host is None or isinstance(host, str),
+                   "simulation.host_node", "a node name or null", host)
             initial = simulation.initial_mode
             expect(initial is None or isinstance(initial, str),
                    "simulation.initial_mode", "a mode name or null", initial)
@@ -345,8 +370,6 @@ class Scenario:
                         f"unknown mode {target!r}"
                     )
         if self.loss is not None:
-            expect(isinstance(self.loss.kind, str), "loss.kind", "a string",
-                   self.loss.kind)
             if self.loss.kind in TOPOLOGY_LOSS_KINDS and self.topology is None:
                 raise ScenarioError(
                     f"scenario {self.name!r}: loss kind "

@@ -1155,8 +1155,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         return args.func(args)
     except KeyboardInterrupt:
-        # Ctrl-C: pools have already been shut down on the way up
-        # (TrialPool.map terminates its workers, which ignore SIGINT),
+        # Ctrl-C: every process pool has already stopped on the way up
+        # (its workers ignore SIGINT and are terminated, not awaited),
         # so no worker tracebacks land on the terminal — just report
         # and exit with the interactive-interrupt convention.
         print("interrupted", file=sys.stderr)

@@ -13,8 +13,8 @@ partitions sampler batches over ``N`` shard processes:
   then **stealing** anyone else's unclaimed blocks, so stragglers
   never idle — and evaluates them through the ordinary
   ``synthesize_scenarios`` -> ``run_campaigns`` path over one
-  long-lived :class:`~repro.engine.trials.ResidentPool` whose workers
-  cache built trial contexts across blocks;
+  :class:`~repro.engine.trials.TrialPool` held for the shard's
+  lifetime, whose workers cache built trial contexts across blocks;
 * every shard appends to its own **partitioned store segment**
   (``store.part-<shard>``, same backend as the main store), so shard
   writes never contend; the parent merges segments into the main store
@@ -80,6 +80,10 @@ _BUSY_TIMEOUT_MS = 30_000
 
 #: Parent liveness-poll interval (seconds).
 _POLL_SECONDS = 0.05
+
+#: How long a stopped shard may take to shut its pools down (seconds)
+#: before the parent kills it.
+_STOP_SECONDS = 10.0
 
 
 # -- claim table --------------------------------------------------------------
@@ -213,16 +217,31 @@ class _BlockSampler(Sampler):
         return [dict(a) for a in self.assignments]
 
 
+def _stop_shard(signum, frame) -> None:
+    """Ctrl-C or the parent's SIGTERM: stop once, as on Ctrl-C.
+
+    The interrupt makes the shard's pools terminate their workers.
+    Later signals are swallowed, so that a second one (Ctrl-C reaches
+    the parent and the shard alike, and the parent then sends SIGTERM)
+    cannot cut that short and orphan the workers.
+    """
+    for stop in (signal.SIGINT, signal.SIGTERM):
+        signal.signal(stop, lambda *_: None)
+    raise KeyboardInterrupt
+
+
 def _shard_main(shard: int, config: dict) -> None:
     """Shard process entry point: claim, evaluate, release, repeat."""
-    from ..engine.trials import ResidentPool
+    from ..engine.trials import TrialPool
     from ..runtime.trial import build_context, execute_trial_task
 
+    signal.signal(signal.SIGINT, _stop_shard)
+    signal.signal(signal.SIGTERM, _stop_shard)
     space = Space.from_dict(config["space"])
     kill_self = os.environ.get(KILL_SHARD_ENV) == str(shard)
     conn = _connect(config["claims"])
     part = open_store(part_path(config["store"], shard))
-    pool = ResidentPool(build_context, execute_trial_task, jobs=config["jobs"])
+    pool = TrialPool(build_context, execute_trial_task, jobs=config["jobs"])
     # Each shard logs to its own segment file (never the parent's log):
     # segment appends are flushed per event, so even a SIGKILLed shard
     # leaves a readable record of the blocks it claimed.
@@ -284,6 +303,8 @@ def _shard_main(shard: int, config: dict) -> None:
                 executed=result.executed,
             )
             release_block(conn, block_id, "done", executed=result.executed)
+    except KeyboardInterrupt:
+        pass  # stopped: what the shard finished is in its segment
     finally:
         pool.close()
         part.close()
@@ -372,7 +393,10 @@ def _drive_round(
         for process in workers.values():
             if process.is_alive():
                 process.terminate()
-                process.join()
+                process.join(_STOP_SECONDS)
+                if process.is_alive():  # stuck in a solve that ignores it
+                    process.kill()
+                    process.join()
     executed = conn.execute(
         "SELECT COALESCE(SUM(executed), 0) FROM blocks WHERE round = ?",
         (round_index,),

@@ -307,7 +307,7 @@ def _evaluate_batch(
 
     A batch-wide :class:`InfeasibleError` triggers per-candidate
     re-evaluation so only the genuinely infeasible candidates fail.
-    ``pool`` (a :class:`~repro.engine.trials.ResidentPool`) lets a
+    ``pool`` (a :class:`~repro.engine.trials.TrialPool`) lets a
     long-lived caller — the exploration shards — reuse one executor
     and its worker-side context caches across many batches; ``shard``
     labels the produced evaluations for provenance.
@@ -445,11 +445,11 @@ def explore(
             distribution-equivalent).
         batch_size: Candidates per evaluation batch — the durability
             granularity of the store.
-        pool: Optional :class:`~repro.engine.trials.ResidentPool` to
-            execute trials on — a long-lived executor whose workers
-            cache built contexts across batches (and across calls);
-            the distributed exploration shards pass one so ``jobs``
-            only governs synthesis.
+        pool: Optional :class:`~repro.engine.trials.TrialPool` to
+            execute trials on instead of one opened per batch — a
+            long-lived pool whose workers cache built contexts across
+            batches (and across calls); the distributed exploration
+            shards pass one so ``jobs`` only governs synthesis.
         shard: Provenance label written into every produced store
             record (the shard id of a distributed exploration;
             ``None`` for single-process runs).

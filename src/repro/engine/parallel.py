@@ -3,8 +3,8 @@
 The paper's Algorithm 1 probes round counts ``R_M = 0, 1, 2, ...``
 sequentially until the first feasible ILP.  The iterations are
 independent solver runs, so this module launches several candidate round
-counts concurrently in a :class:`~concurrent.futures.ProcessPoolExecutor`
-and returns the *smallest* feasible one:
+counts concurrently in a process pool and returns the *smallest*
+feasible one:
 
 * Round-minimality is preserved **by construction** — a feasible result
   at ``r`` is only accepted once every speculated ``r' < r`` has come
@@ -22,12 +22,16 @@ Workers receive the JSON image of the problem (via
 locally, and ship the schedule back as a JSON dict — the same stable
 representation used on disk, so results are identical across process
 boundaries.
+
+The pool starts and stops through the same pair as the trial pool
+(:mod:`repro.engine.trials`): its workers ignore SIGINT, and Ctrl-C
+terminates them instead of waiting for their solves to finish.
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures import FIRST_COMPLETED, wait
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core.modes import Mode
@@ -52,6 +56,7 @@ from ..io.serialize import (
     schedule_from_dict,
     schedule_to_dict,
 )
+from .trials import _spawn_executor, _stop_executor
 
 
 def _solve_round_task(
@@ -173,7 +178,9 @@ def _run_searches(
     """
     if not searches:
         return
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    pool = _spawn_executor(jobs)
+    interrupted = False
+    try:
         futures: Dict[object, Tuple[int, int]] = {}
         rr = 0  # round-robin cursor over searches
 
@@ -220,6 +227,11 @@ def _run_searches(
                     fut.cancel()
                 break
             top_up()
+    except KeyboardInterrupt:
+        interrupted = True
+        raise
+    finally:
+        _stop_executor(pool, interrupted)
 
 
 def synthesize_batch(
@@ -232,10 +244,9 @@ def synthesize_batch(
     The pool driver behind :func:`repro.engine.api.run_cached_batch`:
     every problem may carry its own :class:`SchedulingConfig` (several
     scenario files in one sweep), and all of them share a single
-    :class:`ProcessPoolExecutor` so speculative iterations interleave
-    across problems and the pool never idles between files.  Each
-    config's ``backend`` travels to the workers inside the serialized
-    config.
+    process pool so speculative iterations interleave across problems
+    and the pool never idles between files.  Each config's ``backend``
+    travels to the workers inside the serialized config.
 
     Args:
         problems: ``(mode, config)`` pairs to schedule.

@@ -18,9 +18,10 @@ already has:
    the synthesis problem.
 2. **Trials run over one shared process pool.**  One
    :class:`repro.engine.trials.TrialPool` serves the whole campaign;
-   workers rebuild the scenario context (deployments, topology, radio
-   timing) once and then execute trials from JSON-sized task
-   descriptions.
+   each scenario's context is keyed by the content hash of its
+   :func:`scenario_context` data, and workers rebuild it (deployments,
+   topology, radio timing) once, then execute trials from JSON-sized
+   task descriptions.
 3. **Seeding is deterministic.**  Trial ``i`` uses
    ``derive_seed(campaign_seed, i)`` — a SHA-256 derivation, stable
    across platforms and processes.  The *same* seed list is reused at
@@ -37,6 +38,7 @@ every previously published single-run result.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import time
 from dataclasses import dataclass, field
@@ -50,7 +52,7 @@ from ..core.schedule import ModeSchedule
 from ..core.verify import VerificationReport
 from ..engine.api import EngineStats
 from ..engine.cache import ScheduleCache
-from ..engine.trials import TrialPool
+from ..engine.trials import TrialPool, context_key
 from ..io.serialize import mode_to_dict, schedule_to_dict
 from ..obs.events import emit
 from ..obs.metrics import timed_span
@@ -360,12 +362,12 @@ def run_campaigns(
             walks the object-level simulator.  ``fast`` and
             ``reference`` results are bit-identical;
             :attr:`CampaignResult.engines` records what actually ran.
-        pool: Optional :class:`~repro.engine.trials.ResidentPool`
-            (built with :func:`~repro.runtime.trial.build_context` and
+        pool: Optional :class:`~repro.engine.trials.TrialPool` (built
+            with :func:`~repro.runtime.trial.build_context` and
             :func:`~repro.runtime.trial.execute_trial_task`) to run
-            trials on instead of a per-call :class:`TrialPool` — a
-            long-lived executor whose workers cache built contexts
-            across calls; ``jobs`` then only governs synthesis.
+            trials on instead of one opened for this call — a
+            long-lived pool keeps its workers, and the contexts they
+            built, across calls; ``jobs`` then only governs synthesis.
 
     Returns:
         A :class:`CampaignResult`; scenarios whose schedules fail
@@ -418,6 +420,7 @@ def run_campaigns(
         wall_seconds=wall_seconds,
     )
     contexts: Dict[str, dict] = {}
+    keys: Dict[str, str] = {}  # scenario name -> its context's key
     tasks: List[Tuple[str, dict]] = []
     for scenario in scenarios:
         schedules = all_schedules[scenario.name]
@@ -437,7 +440,9 @@ def run_campaigns(
                         f"scenario {scenario.name!r}: {exc}"
                     ) from None
 
-        contexts[scenario.name] = scenario_context(scenario, schedules)
+        context_data = scenario_context(scenario, schedules)
+        key = keys[scenario.name] = context_key(context_data)
+        contexts[key] = context_data
         scenario_seeds = seeds_by_scenario[scenario.name]
         for point_index, point in enumerate(points):
             emit("campaign.point.begin", scenario=scenario.name,
@@ -453,7 +458,7 @@ def run_campaigns(
                 size = (len(indexed) + shares - 1) // shares
                 for lo in range(0, len(indexed), size):
                     tasks.append((
-                        scenario.name,
+                        key,
                         {
                             "scenario": scenario.name,
                             "point": point_index,
@@ -465,7 +470,7 @@ def run_campaigns(
             else:
                 for trial_index, seed in enumerate(scenario_seeds):
                     tasks.append((
-                        scenario.name,
+                        key,
                         {
                             "scenario": scenario.name,
                             "point": point_index,
@@ -477,38 +482,15 @@ def run_campaigns(
                     ))
 
     # Phase 2 — evaluation: every trial of every scenario and grid
-    # point drains through one shared pool.
-    with timed_span("simulate") as simulate_span:
-        if pool is not None:
-            # Resident executor: group tasks per scenario (one shared
-            # context each) and drain them through the caller's
-            # long-lived pool, whose workers cache built contexts under
-            # their content key — repeated campaigns over the same
-            # scenario never rebuild deployments.  Aggregation below
-            # groups by the (scenario, point) keys echoed into every
-            # outcome, so the per-scenario ordering is equivalent to
-            # the flat task list.
-            import hashlib
-            import json
-
-            by_scenario: Dict[str, List[dict]] = {}
-            for name, task in tasks:
-                by_scenario.setdefault(name, []).append(task)
-            outcomes = []
-            for name, scenario_tasks in by_scenario.items():
-                context_data = contexts[name]
-                context_key = hashlib.sha256(
-                    json.dumps(context_data, sort_keys=True).encode("utf-8")
-                ).hexdigest()
-                outcomes.extend(
-                    pool.run(context_key, context_data, scenario_tasks)
-                )
-        else:
-            executor = (
-                execute_trial_batch if engine == "vectorized" else execute_trial
-            )
-            trial_pool = TrialPool(build_context, executor, contexts, jobs=jobs)
-            outcomes = trial_pool.map(tasks)
+    # point drains through one pool — the caller's, or one opened for
+    # this call.
+    if pool is None:
+        run_task = execute_trial_batch if engine == "vectorized" else execute_trial
+        opened = TrialPool(build_context, run_task, jobs=jobs)
+    else:
+        opened = contextlib.nullcontext(pool)
+    with timed_span("simulate") as simulate_span, opened as trial_pool:
+        outcomes = trial_pool.map(tasks, contexts)
     wall_seconds["simulation"] = simulate_span.seconds
 
     # Phase 3 — aggregation, grouped by (scenario, grid point).  Batch
@@ -533,7 +515,7 @@ def run_campaigns(
         for key, trial_results in payloads.items():
             batches[key] = [TrialBatch.from_results(trial_results)]
         for scenario in scenarios:
-            if scenario.name not in contexts:
+            if scenario.name not in keys:
                 continue
             for point_index, point in enumerate(points):
                 batch = TrialBatch.concat(

@@ -7,8 +7,8 @@ process pools:
 
 * :func:`build_context` rebuilds everything that is **shared across
   trials** (modes, deployments, radio timing, topology, the simulation
-  parameters) from one JSON dict — workers do this once, at pool
-  initialization, not per trial;
+  parameters) from one JSON dict — workers do this once per context
+  and cache it, not per trial;
 * :func:`execute_trial` runs **one seeded trial** against a context and
   returns a plain JSON dict, so results cross process boundaries in the
   same stable representation the rest of the engine uses;
@@ -730,12 +730,12 @@ def execute_trial_batch(context: TrialContext, task: dict) -> dict:
 def execute_trial_task(context: TrialContext, task: dict) -> dict:
     """Pool entry point routing on the task shape.
 
-    Long-lived executors (:class:`~repro.engine.trials.ResidentPool`)
-    fix their ``run_task`` at construction, before anyone knows which
-    engine future campaigns will ask for — this dispatcher accepts
-    both shapes: batch tasks (a ``trials`` list, vectorized engine)
-    go to :func:`execute_trial_batch`, per-trial tasks to
-    :func:`execute_trial`.
+    A long-lived :class:`~repro.engine.trials.TrialPool` (an
+    exploration shard's) fixes its ``run_task`` at construction, before
+    anyone knows which engine future campaigns will ask for — this
+    dispatcher accepts both shapes: batch tasks (a ``trials`` list,
+    vectorized engine) go to :func:`execute_trial_batch`, per-trial
+    tasks to :func:`execute_trial`.
     """
     if "trials" in task:
         return execute_trial_batch(context, task)

@@ -6,9 +6,9 @@ JSON to an HTTP API and get back job ids; a worker pool drains an
 admission-controlled queue through the existing synthesis and
 Monte-Carlo fast paths; identical problems are deduplicated **across
 requests** (in-flight attachment plus a shared persistent result
-store); and one ScheduleCache + ResultStore + ResidentPool stay
-resident across every request, so the second client ever to ask a
-question pays file-read prices, not solver prices.
+store); and one ScheduleCache + ResultStore + TrialPool stay up
+across every request, so the second client ever to ask a question
+pays file-read prices, not solver prices.
 
 Module map (each is documented in :doc:`docs/SERVICE.md`):
 

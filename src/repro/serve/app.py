@@ -11,8 +11,9 @@ threads them through every request:
   anything, which is the restart-resume story: SIGTERM drains, the
   process exits 0, the next start re-opens the same store and
   re-submitted jobs go ``queued -> done`` immediately;
-* a :class:`~repro.engine.trials.ResidentPool` — trial workers stay
-  resident across jobs, with per-scenario contexts cached worker-side.
+* a :class:`~repro.engine.trials.TrialPool` held for the daemon's
+  lifetime — trial workers stay up across jobs, with per-scenario
+  contexts cached worker-side under their content key.
 
 Signal handling: SIGTERM and SIGINT both trigger a graceful drain
 (stop admitting -> finish queued and running jobs -> close pool,
@@ -34,7 +35,7 @@ from typing import IO, Optional
 
 from ..dse.store import open_store
 from ..engine.cache import ScheduleCache
-from ..engine.trials import ResidentPool
+from ..engine.trials import TrialPool
 from ..obs.events import RunLog, emit, set_run_log
 from ..obs.metrics import REGISTRY
 from ..runtime.trial import ENGINES, build_context, execute_trial_batch
@@ -51,8 +52,8 @@ class ServiceConfig:
         host / port: Listen address; port 0 picks a free port (the
             chosen one is printed on the ``listening on`` line).
         workers: Queue worker threads (concurrent executions).
-        jobs: Trial worker *processes* in the resident pool; 1 runs
-            trials in the worker thread itself.
+        jobs: Trial worker *processes* in the daemon's trial pool; 1
+            runs trials in the worker thread itself.
         store: Result-store path (``.sqlite`` / ``.jsonl``); ``None``
             keeps results in memory only — no restart-resume.
         cache_dir: Schedule-cache directory; ``None`` disables the
@@ -125,7 +126,7 @@ class ServiceApp:
             if self.config.cache_dir is not None
             else None
         )
-        self.pool = ResidentPool(
+        self.pool = TrialPool(
             build_context, execute_trial_batch, jobs=self.config.jobs
         )
         self.queue = JobQueue(

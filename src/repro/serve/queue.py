@@ -7,13 +7,17 @@ paths the batch tools use:
 
 * synthesis via :func:`repro.api.experiment.synthesize_scenarios`
   against the service's shared :class:`~repro.engine.cache
-  .ScheduleCache` (one synthesis at a time — the solver is CPU-bound
-  and the cache counters stay exact);
+  .ScheduleCache`, in the worker thread and one at a time — the
+  solver is CPU-bound and the cache counters stay exact;
 * trials via :func:`repro.runtime.trial.execute_trial_batch` over the
-  shared :class:`~repro.engine.trials.ResidentPool`, in **batches** of
-  ``trial_batch`` seeds with the execution's cancel flag polled
-  between batches — a cancelled job stops within one batch, and every
-  batch emits a progress event to every attached job.
+  service's long-lived :class:`~repro.engine.trials.TrialPool`, in
+  **batches** of ``trial_batch`` seeds with the execution's cancel
+  flag polled between batches — a cancelled job stops within one
+  batch, and every batch emits a progress event to every attached
+  job;
+* results as store records built by the exploration's own code
+  (:mod:`repro.dse.explore`), so exploration results answer service
+  requests and service results seed explorations.
 
 Admission control rejects work *before* it costs anything:
 
@@ -34,10 +38,12 @@ from typing import Dict, List, Optional, Sequence
 from ..api.experiment import synthesize_scenarios
 from ..api.scenario import Scenario, ScenarioError
 from ..core.synthesis import InfeasibleError
-from ..dse.store import STORE_SCHEMA, ResultStore, candidate_key
+from ..dse.explore import _failure_text, _record_of
+from ..dse.objectives import Evaluation
+from ..dse.store import ResultStore
 from ..engine.api import EngineStats
 from ..engine.cache import ScheduleCache
-from ..engine.trials import ResidentPool
+from ..engine.trials import TrialPool, context_key
 from ..mc.campaign import _point_loss, _resolve_seeds, scenario_context
 from ..mc.stats import CampaignStats
 from ..obs.events import emit
@@ -56,48 +62,13 @@ class AdmissionError(RuntimeError):
         self.reason = reason
 
 
-def _result_record(
-    scenario: Scenario,
-    seeds: Sequence[Optional[int]],
-    stats: Optional[CampaignStats],
-    total_latency: float,
-    rounds: int,
-    elapsed: float,
-    error: Optional[str] = None,
-) -> dict:
-    """A store record in the exact schema ``repro.dse`` writes.
-
-    Shared schema => shared store: exploration results answer service
-    requests and service results seed explorations.
-    """
-    return {
-        "schema": STORE_SCHEMA,
-        "name": scenario.name,
-        "assignment": {},
-        "seeds": list(seeds),
-        "stats": stats.to_dict() if stats is not None else None,
-        "total_latency": total_latency,
-        "rounds": rounds,
-        "elapsed": elapsed,
-        "error": error,
-    }
-
-
-def _failure_text(reports: Dict[str, object]) -> str:
-    lines = []
-    for mode_name, report in sorted(reports.items()):
-        for violation in report.violations:
-            lines.append(f"mode {mode_name!r}: {violation}")
-    return "; ".join(lines) or "verification failed"
-
-
 class JobQueue:
     """The service's execution core: admission, workers, cancellation.
 
     Args:
         table: The job table (shared with the HTTP layer).
         store: Shared result store (completed-work dedup + durability).
-        pool: Shared resident trial pool.
+        pool: Shared long-lived trial pool.
         cache: Shared schedule cache (may be ``None``).
         workers: Worker threads draining the queue.
         max_queued: Executions allowed to wait (admission bound).
@@ -107,16 +78,13 @@ class JobQueue:
         trial_batch: Trials per execution batch — the cancellation and
             progress granularity.
         engine: Default trial engine for submissions that name none.
-        synth_jobs: Worker processes for each synthesis call (1 =
-            in-thread, the service default; synthesis is serialized
-            across jobs either way).
     """
 
     def __init__(
         self,
         table: JobTable,
         store: ResultStore,
-        pool: ResidentPool,
+        pool: TrialPool,
         cache: Optional[ScheduleCache] = None,
         workers: int = 2,
         max_queued: int = 64,
@@ -124,7 +92,6 @@ class JobQueue:
         max_trials: int = 100_000,
         trial_batch: int = 16,
         engine: str = "fast",
-        synth_jobs: int = 1,
     ) -> None:
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers!r}")
@@ -148,7 +115,6 @@ class JobQueue:
         self.max_trials = max_trials
         self.trial_batch = trial_batch
         self.engine = engine
-        self.synth_jobs = synth_jobs
 
         self.dedup = DedupIndex()
         self.engine_stats = EngineStats()
@@ -428,10 +394,22 @@ class JobQueue:
     def _fail_execution(self, execution: Execution, error: str) -> None:
         self._transition_all(execution, "failed", error=error)
 
+    def _fail_with_record(self, execution: Execution, record: dict) -> None:
+        self.store.put(execution.key, record)
+        self._fail_execution(execution, record["error"])
+
     def _run_execution(self, execution: Execution) -> None:
         scenario = execution.scenario
         seeds = execution.seeds
         started = time.perf_counter()
+
+        def record_of(**fields) -> dict:
+            """This execution's store record, built as explorations do."""
+            return _record_of(Evaluation(
+                scenario=scenario, assignment={}, seeds=tuple(seeds),
+                elapsed=time.perf_counter() - started, **fields,
+            ))
+
         self._transition_all(execution, "synthesizing")
 
         # Phase 1 — synthesis (serialized: exact cache/engine counters,
@@ -439,40 +417,27 @@ class JobQueue:
         with self._synth_lock:
             try:
                 schedules, reports, _ = synthesize_scenarios(
-                    [scenario],
-                    jobs=self.synth_jobs,
-                    cache=self.cache,
+                    [scenario], jobs=1, cache=self.cache,
                     stats=self.engine_stats,
                 )
             except InfeasibleError as exc:
-                error = f"infeasible: {exc}"
-                record = _result_record(
-                    scenario, seeds, None, 0.0, 0,
-                    time.perf_counter() - started, error=error,
+                self._fail_with_record(
+                    execution, record_of(error=f"infeasible: {exc}")
                 )
-                self.store.put(execution.key, record)
-                self._fail_execution(execution, error)
                 return
         by_mode = schedules[scenario.name]
         mode_reports = reports[scenario.name]
         if not all(report.ok for report in mode_reports.values()):
-            error = _failure_text(mode_reports)
-            record = _result_record(
-                scenario, seeds, None, 0.0, 0,
-                time.perf_counter() - started, error=error,
+            self._fail_with_record(
+                execution, record_of(error=_failure_text(mode_reports))
             )
-            self.store.put(execution.key, record)
-            self._fail_execution(execution, error)
             return
 
         total_latency = sum(s.total_latency for s in by_mode.values())
         rounds = sum(s.num_rounds for s in by_mode.values())
 
         if scenario.simulation is None:
-            record = _result_record(
-                scenario, seeds, None, total_latency, rounds,
-                time.perf_counter() - started,
-            )
+            record = record_of(total_latency=total_latency, rounds=rounds)
             self.store.put(execution.key, record)
             self._transition_all(
                 execution, "done", result=record, cached=False
@@ -484,7 +449,7 @@ class JobQueue:
             return
         self._transition_all(execution, "simulating", trials_total=len(seeds))
         context_data = scenario_context(scenario, by_mode)
-        context_key = candidate_key(scenario, {"context": "trial"}, [])
+        key = context_key(context_data)
         batches: List[TrialBatch] = []
         trials_done = 0
         engine_used: Optional[str] = None
@@ -504,7 +469,9 @@ class JobQueue:
                     "loss": _point_loss(scenario, {}, seed=None),
                     "engine": execution.engine,
                 }
-                outcome = self.pool.run(context_key, context_data, [task])[0]
+                outcome = self.pool.map(
+                    [(key, task)], {key: context_data}
+                )[0]
                 engine_used = outcome["engine_used"]
                 batches.append(outcome["batch"])
                 trials_done += len(outcome["batch"])
@@ -519,9 +486,9 @@ class JobQueue:
 
         with timed_span("aggregate"):
             stats = CampaignStats.aggregate(TrialBatch.concat(batches))
-        record = _result_record(
-            scenario, seeds, stats, total_latency, rounds,
-            time.perf_counter() - started,
+        record = record_of(
+            stats=stats, total_latency=total_latency, rounds=rounds,
+            campaigns=1,
         )
         record["engine_used"] = engine_used
         self.store.put(execution.key, record)

@@ -131,12 +131,20 @@ class TestValidation:
         ("transitions", 0, 1),
         ("simulation", "initial_mode"),
         ("simulation", "mode_requests", 0, 1),
+        ("simulation", "host_node"),
+        ("loss", "params"),
+        ("radio", "payload_bytes"),
+        ("radio", "diameter"),
+        ("topology", "kind"),
+        ("topology", "params"),
     ], ids=lambda path: ".".join(map(str, path)))
     def test_wrong_json_type_is_a_scenario_error(self, path):
-        """A list where a name, kind or number belongs fails validation,
-        not a set or dict lookup with ``TypeError``."""
+        """A list where a name, kind, number or object belongs fails
+        validation, not a set or dict lookup with ``TypeError``."""
         data = two_mode_scenario(
             loss=LossSpec("bernoulli", {"beacon_loss": 0.1}),
+            radio=RadioSpec(payload_bytes=10, diameter=2),
+            topology=TopologySpec("line", {"num_nodes": 3}),
             simulation=SimulationSpec(
                 duration=100.0, mode_requests=((40.0, "emergency"),)
             ),
@@ -147,6 +155,20 @@ class TestValidation:
         node[path[-1]] = []
         scenario = Scenario.from_dict(data)
         with pytest.raises(ScenarioError, match="must be"):
+            scenario.validate()
+
+    @pytest.mark.parametrize("payload", ["x", -5, True, 2.5], ids=repr)
+    def test_payload_bytes_must_be_a_non_negative_integer(self, payload):
+        scenario = two_mode_scenario(radio=RadioSpec(payload_bytes=payload,
+                                                     diameter=2))
+        with pytest.raises(ScenarioError, match="radio.payload_bytes"):
+            scenario.validate()
+
+    @pytest.mark.parametrize("diameter", ["x", 0, True], ids=repr)
+    def test_diameter_must_be_a_positive_integer_or_null(self, diameter):
+        scenario = two_mode_scenario(radio=RadioSpec(payload_bytes=10,
+                                                     diameter=diameter))
+        with pytest.raises(ScenarioError, match="radio.diameter"):
             scenario.validate()
 
 

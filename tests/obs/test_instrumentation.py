@@ -136,18 +136,18 @@ def _run_task(ctx: dict, task: dict) -> dict:
 
 
 class TestPoolInstrumentation:
-    def test_resident_pool_ships_worker_metric_deltas(self, run_log):
-        from repro.engine.trials import ResidentPool
+    def test_trial_pool_ships_worker_metric_deltas(self, run_log):
+        from repro.engine.trials import TrialPool
         from repro.obs.metrics import REGISTRY
 
         before = REGISTRY.counters.get("pool.context_builds", 0)
-        with ResidentPool(_build_ctx, _run_task, jobs=2) as pool:
-            pool.run("k", {"base": 1}, [{"x": 1}, {"x": 2}])
+        with TrialPool(_build_ctx, _run_task, jobs=2) as pool:
+            pool.map([("k", {"x": 1}), ("k", {"x": 2})], {"k": {"base": 1}})
         events = [
             event for event in read_log(run_log.path)
-            if event.kind == "pool.run"
+            if event.kind == "pool.map"
         ]
-        assert events, "resident pool must emit pool.run per batch"
+        assert events, "a pooled map must emit pool.map"
         assert events[0].data["jobs"] == 2
         assert events[0].data["tasks"] == 2
         # Worker-side context builds travel back as metric deltas.

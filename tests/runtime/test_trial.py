@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from repro.core import Mode, SchedulingConfig, synthesize
-from repro.engine.trials import ResidentPool, TrialPool, default_chunk_size
+from repro.engine.trials import TrialPool, default_chunk_size
 from repro.io import mode_to_dict, schedule_to_dict
 from repro.runtime import build_deployment
 from repro.runtime.simulator import RuntimeSimulator
@@ -233,37 +233,38 @@ class TestTrialPool:
                      "seed": seed})
             for seed in range(6)
         ]
-        sequential = TrialPool(build_context, execute_trial, contexts,
-                               jobs=1).map(tasks)
-        pooled = TrialPool(build_context, execute_trial, contexts,
-                           jobs=2).map(tasks)
+        with TrialPool(build_context, execute_trial, jobs=1) as pool:
+            sequential = pool.map(tasks, contexts)
+        with TrialPool(build_context, execute_trial, jobs=2) as pool:
+            pooled = pool.map(tasks, contexts)
         assert sequential == pooled
 
     def test_results_in_input_order(self):
         contexts = {"ctx": trial_context_data()}
         tasks = [("ctx", {"loss": None, "trial": i}) for i in range(5)]
-        results = TrialPool(build_context, execute_trial, contexts,
-                            jobs=2, chunk_size=2).map(tasks)
+        with TrialPool(build_context, execute_trial, jobs=2,
+                       chunk_size=2) as pool:
+            results = pool.map(tasks, contexts)
         assert [r["trial"] for r in results] == list(range(5))
 
     def test_unknown_context_key(self):
-        pool = TrialPool(build_context, execute_trial, {}, jobs=1)
+        pool = TrialPool(build_context, execute_trial, jobs=1)
         with pytest.raises(KeyError, match="unknown context"):
-            pool.map([("nope", {})])
+            pool.map([("nope", {})], {})
 
     def test_empty_tasks(self):
-        pool = TrialPool(build_context, execute_trial, {}, jobs=1)
-        assert pool.map([]) == []
+        pool = TrialPool(build_context, execute_trial, jobs=1)
+        assert pool.map([], {}) == []
 
     def test_invalid_jobs(self):
         with pytest.raises(ValueError, match="jobs must be"):
-            TrialPool(build_context, execute_trial, {}, jobs=0)
+            TrialPool(build_context, execute_trial, jobs=0)
         with pytest.raises(ValueError, match="chunk_size"):
-            TrialPool(build_context, execute_trial, {}, jobs=2, chunk_size=0)
+            TrialPool(build_context, execute_trial, jobs=2, chunk_size=0)
 
 
 class TestBatchEnvelope:
-    def test_resident_pool_ships_batches_across_processes(self):
+    def test_trial_pool_ships_batches_across_processes(self):
         """The daemon's ``--workers 2`` path: TrialBatch envelopes
         pickled out of pool workers equal the in-process ones, for
         every engine."""
@@ -274,12 +275,13 @@ class TestBatchEnvelope:
              "engine": engine, "trials": [(0, 3), (1, 4)]}
             for index, engine in enumerate(ENGINES)
         ]
-        data = trial_context_data()
-        with ResidentPool(build_context, execute_trial_batch) as local, \
-                ResidentPool(build_context, execute_trial_batch,
-                             jobs=2) as pooled:
-            expected = local.run("ctx", data, tasks)
-            shipped = pooled.run("ctx", data, tasks, chunk_size=1)
+        contexts = {"ctx": trial_context_data()}
+        keyed = [("ctx", task) for task in tasks]
+        with TrialPool(build_context, execute_trial_batch) as local, \
+                TrialPool(build_context, execute_trial_batch, jobs=2,
+                          chunk_size=1) as pooled:
+            expected = local.map(keyed, contexts)
+            shipped = pooled.map(keyed, contexts)
         for task, want, got in zip(tasks, expected, shipped):
             assert set(got) == {"scenario", "point", "engine_used", "batch"}
             assert got["engine_used"] == want["engine_used"] == task["engine"]
@@ -317,6 +319,6 @@ class TestChunkSizing:
         # 3 tasks over 2 workers must still produce in-order results.
         contexts = {"ctx": trial_context_data()}
         tasks = [("ctx", {"loss": None, "trial": i}) for i in range(3)]
-        results = TrialPool(build_context, execute_trial, contexts,
-                            jobs=2).map(tasks)
+        with TrialPool(build_context, execute_trial, jobs=2) as pool:
+            results = pool.map(tasks, contexts)
         assert [r["trial"] for r in results] == [0, 1, 2]

@@ -100,9 +100,13 @@ class TestErrorMapping:
                                  duration=float("inf"))),
             # Used to raise TypeError: a 500 ``internal``.
             dict(make_scenario().to_dict(), loss={"kind": [], "params": {}}),
+            dict(make_scenario().to_dict(),
+                 radio={"payload_bytes": "x", "diameter": 4}),
+            dict(make_scenario().to_dict(),
+                 topology={"kind": [], "params": {}}),
         ],
         ids=["wrong-kind", "list", "string", "int", "infinite-duration",
-             "list-loss-kind"],
+             "list-loss-kind", "string-payload-bytes", "list-topology-kind"],
     )
     def test_bad_scenario_400(self, client, scenario):
         with pytest.raises(ServiceError) as err:

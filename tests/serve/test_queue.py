@@ -10,7 +10,7 @@ from repro.api import Scenario
 from repro.api.scenario import ScenarioError
 from repro.core import Mode, SchedulingConfig
 from repro.dse.store import open_store
-from repro.engine.trials import ResidentPool
+from repro.engine.trials import TrialPool
 from repro.runtime.trial import build_context, execute_trial_batch
 from repro.serve.dedup import job_key
 from repro.serve.jobs import TERMINAL, JobTable
@@ -21,7 +21,7 @@ from .conftest import make_scenario
 
 
 class GatedPool:
-    """A ResidentPool proxy whose run() blocks until a permit is fed.
+    """A TrialPool proxy whose map() blocks until a permit is fed.
 
     Lets tests freeze an execution mid-``simulating`` (to attach
     duplicates or cancel it) and count exactly how many trial batches
@@ -29,7 +29,7 @@ class GatedPool:
     """
 
     def __init__(self):
-        self.inner = ResidentPool(build_context, execute_trial_batch, jobs=1)
+        self.inner = TrialPool(build_context, execute_trial_batch, jobs=1)
         self.calls = 0
         self.permits = threading.Semaphore(0)
         self.started = threading.Event()
@@ -38,11 +38,11 @@ class GatedPool:
         for _ in range(permits):
             self.permits.release()
 
-    def run(self, context_key, context_data, tasks, chunk_size=None):
+    def map(self, tasks, contexts):
         self.started.set()
         assert self.permits.acquire(timeout=30), "no permit fed within 30s"
         self.calls += 1
-        return self.inner.run(context_key, context_data, tasks, chunk_size)
+        return self.inner.map(tasks, contexts)
 
     def close(self):
         self.inner.close()
@@ -53,7 +53,7 @@ def running_queue(store=None, pool=None, start=True, **kwargs):
     table = JobTable()
     own_store = store is None
     store = store if store is not None else open_store(None)
-    pool = pool if pool is not None else ResidentPool(
+    pool = pool if pool is not None else TrialPool(
         build_context, execute_trial_batch, jobs=1
     )
     kwargs.setdefault("workers", 2)
@@ -180,6 +180,10 @@ class TestExecution:
             failed = wait_terminal(queue, job["id"])
             assert failed["state"] == "failed"
             assert failed["error"].startswith("infeasible:")
+            record = queue.store.get(job["key"])
+            assert record["error"] == failed["error"]
+            assert record["campaigns"] == 0  # the exploration's fields
+            assert "written_at" in record and "shard" in record
             # The failure is stored: resubmitting does not re-synthesize.
             again = queue.submit(infeasible_scenario())
             assert again["state"] == "failed"
@@ -319,3 +323,32 @@ class TestStats:
         with running_queue(start=False) as queue:
             job = queue.submit(scenario, seeds=[1, 2])
             assert job["key"] == job_key(scenario, [1, 2])
+
+
+class TestStoreRecords:
+    def test_daemon_writes_exploration_records(self, scenario, tmp_path):
+        """The daemon builds its records with the exploration's code:
+        the same fields plus the engine that ran, and a store hit
+        answers with exactly the record the executing job returned."""
+        from repro.dse import explore_scenario
+
+        explored = open_store(None)
+        explore_scenario(scenario, [("slots", "slots", [5])], trials=2,
+                         store=explored)
+        (key,) = explored.keys()
+        exploration_record = explored.get(key)
+
+        store = open_store(tmp_path / "serve.jsonl")
+        with running_queue(store=store) as queue:
+            first = wait_terminal(
+                queue, queue.submit(scenario, trials=4)["id"]
+            )
+            second = queue.submit(scenario, trials=4)
+        store.close()
+        record = first["result"]
+        assert set(record) == set(exploration_record) | {"engine_used"}
+        assert record["campaigns"] == 1
+        assert record["shard"] is None
+        assert record["written_at"] > 0
+        assert second["cached"] is True
+        assert second["result"] == record
