@@ -65,6 +65,23 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _pair_of(value):
+    """A two-element JSON array as a tuple; anything else stays as
+    given, for :meth:`Scenario.validate` to reject with its path."""
+    if isinstance(value, (list, tuple)) and len(value) == 2:
+        return tuple(value)
+    return value
+
+
+def _request_of(value):
+    """A ``[time, mode]`` request with its time as a float; a malformed
+    one stays as given, for :meth:`Scenario.validate` to reject."""
+    request = _pair_of(value)
+    if isinstance(request, tuple) and _is_real(request[0]):
+        return (float(request[0]), request[1])
+    return request
+
+
 def _params_of(data: dict):
     """A spec's ``params``, copied; a non-object stays as given, for
     :meth:`Scenario.validate` to reject."""
@@ -227,13 +244,15 @@ class SimulationSpec:
     def from_dict(cls, data: Optional[dict]) -> Optional["SimulationSpec"]:
         if data is None:
             return None
+        requests = data.get("mode_requests", [])
         return cls(
             duration=data["duration"],
             initial_mode=data.get("initial_mode"),
             policy=data.get("policy", "beacon_gated"),
             host_node=data.get("host_node"),
-            mode_requests=tuple(
-                (float(t), mode) for t, mode in data.get("mode_requests", [])
+            mode_requests=(
+                tuple(_request_of(request) for request in requests)
+                if isinstance(requests, list) else requests
             ),
             trials=data.get("trials", 1),
             seed=data.get("seed"),
@@ -316,10 +335,11 @@ class Scenario:
                "time_limit", "> 0 seconds (or null for no limit)",
                time_limit)
         known = set(names)
-        for index, (source, target) in enumerate(self.transitions):
-            expect(isinstance(source, str) and isinstance(target, str),
-                   f"transitions[{index}]", "a pair of mode names",
-                   [source, target])
+        for index, pair in enumerate(self.transitions):
+            expect(isinstance(pair, (list, tuple)) and len(pair) == 2
+                   and all(isinstance(name, str) for name in pair),
+                   f"transitions[{index}]", "a pair of mode names", pair)
+            source, target = pair
             if source not in known or target not in known:
                 raise ScenarioError(
                     f"scenario {self.name!r}: transition {source!r} -> "
@@ -360,10 +380,20 @@ class Scenario:
                     f"scenario {self.name!r}: initial mode "
                     f"{initial!r} is not a scenario mode"
                 )
-            for index, (_, target) in enumerate(simulation.mode_requests):
-                expect(isinstance(target, str),
-                       f"simulation.mode_requests[{index}][1]",
-                       "a mode name", target)
+            requests = simulation.mode_requests
+            expect(isinstance(requests, (list, tuple)),
+                   "simulation.mode_requests", "an array of [time, mode] "
+                   "pairs", requests)
+            for index, request in enumerate(requests):
+                path = f"simulation.mode_requests[{index}]"
+                expect(isinstance(request, (list, tuple))
+                       and len(request) == 2, path, "a [time, mode] pair",
+                       request)
+                at, target = request
+                expect(_is_real(at) and 0 <= at < math.inf,
+                       f"{path}[0]", "a finite number >= 0", at)
+                expect(isinstance(target, str), f"{path}[1]", "a mode name",
+                       target)
                 if target not in known:
                     raise ScenarioError(
                         f"scenario {self.name!r}: mode request targets "

@@ -9,9 +9,11 @@ feasible one:
 * Round-minimality is preserved **by construction** — a feasible result
   at ``r`` is only accepted once every speculated ``r' < r`` has come
   back infeasible, exactly the evidence the sequential loop gathers.
-* Superseded speculation (pending round counts above an accepted
-  feasible one) is cancelled so the pool moves on to other work — in
-  batch runs, to the next mode's iterations.
+* Superseded speculation (round counts above an accepted feasible
+  one) is cancelled while pending, so the pool moves on to other work —
+  in batch runs, to the next mode's iterations.  Once every search is
+  done, superseded solves still running are terminated with their
+  workers, not awaited: their results would be discarded anyway.
 * The demand lower bound (:func:`repro.core.synthesis.demand_round_bound`)
   seeds every search, skipping provably-infeasible iterations; in batch
   mode the bounds are computed up-front for the whole mode set so every
@@ -21,7 +23,9 @@ Workers receive the JSON image of the problem (via
 :mod:`repro.io.serialize`) rather than pickled objects, rebuild the ILP
 locally, and ship the schedule back as a JSON dict — the same stable
 representation used on disk, so results are identical across process
-boundaries.
+boundaries.  The parent loads the solver right before the pool forks,
+so the workers inherit it and their first solve imports nothing; the
+module itself stays free of scipy at import time.
 
 The pool starts and stops through the same pair as the trial pool
 (:mod:`repro.engine.trials`): its workers ignore SIGINT, and Ctrl-C
@@ -178,8 +182,13 @@ def _run_searches(
     """
     if not searches:
         return
+    # The workers fork from this process: load the solver first, so
+    # they inherit it instead of each importing scipy in its first
+    # solve.  Loaded here, not at import time, which stays scipy-free.
+    from ..milp import scipy_backend  # noqa: F401
+
     pool = _spawn_executor(jobs)
-    interrupted = False
+    terminate = False
     try:
         futures: Dict[object, Tuple[int, int]] = {}
         rr = 0  # round-robin cursor over searches
@@ -225,13 +234,16 @@ def _run_searches(
             if all(s.done for s in searches):
                 for fut in futures:
                     fut.cancel()
+                # What still runs is superseded speculation, whose
+                # result would be discarded: stop it, do not await it.
+                terminate = any(fut.running() for fut in futures)
                 break
             top_up()
     except KeyboardInterrupt:
-        interrupted = True
+        terminate = True
         raise
     finally:
-        _stop_executor(pool, interrupted)
+        _stop_executor(pool, terminate)
 
 
 def synthesize_batch(

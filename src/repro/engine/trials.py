@@ -30,9 +30,11 @@ task) -> result``.  :mod:`repro.mc.campaign` is the main customer.
 
 Every process pool of the engine — this one and the synthesis pool of
 :mod:`repro.engine.parallel` — starts through :func:`_spawn_executor`
-and stops through :func:`_stop_executor`: workers ignore SIGINT, and a
-pool stopped by Ctrl-C terminates its workers instead of waiting for
-their tasks.
+and stops through :func:`_stop_executor`: workers ignore SIGINT, the
+pool's own threads leave Ctrl-C to the caller's main thread, and a
+pool stopped by Ctrl-C (or, for synthesis, with only superseded solves
+left running) terminates its workers and joins them instead of waiting
+for their tasks.
 """
 
 from __future__ import annotations
@@ -82,10 +84,36 @@ def _ignore_sigint() -> None:
         pass
 
 
+#: The signals that stop a process: Ctrl-C, and ``terminate()``.
+_STOP_SIGNALS = {signal.SIGINT, signal.SIGTERM}
+
+
+class _Pool(ProcessPoolExecutor):
+    """A process pool that submits with :data:`_STOP_SIGNALS` blocked.
+
+    The pool starts its helper threads and forks its workers inside
+    ``submit``, and both inherit the submitting thread's signal mask.
+    So no helper thread can take a Ctrl-C or SIGTERM meant for the
+    process (the main thread, blocked on a future, would never see
+    it), and no worker can be interrupted before :func:`_init_worker`
+    has set its handlers.
+    """
+
+    def submit(self, fn, /, *args, **kwargs):
+        previous = signal.pthread_sigmask(signal.SIG_BLOCK, _STOP_SIGNALS)
+        try:
+            return super().submit(fn, *args, **kwargs)
+        finally:
+            signal.pthread_sigmask(signal.SIG_SETMASK, previous)
+
+
 def _init_worker(setup: Optional[Callable], args: tuple) -> None:
     _ignore_sigint()
     # Whatever handler the parent installed, terminate() must kill.
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    # Forked with the stop signals blocked (_Pool.submit): take them
+    # from here on.
+    signal.pthread_sigmask(signal.SIG_UNBLOCK, _STOP_SIGNALS)
     if setup is not None:
         setup(*args)
 
@@ -94,7 +122,7 @@ def _spawn_executor(
     jobs: int, setup: Optional[Callable] = None, args: tuple = ()
 ) -> ProcessPoolExecutor:
     """A process pool whose workers ignore SIGINT, then run ``setup``."""
-    executor = ProcessPoolExecutor(
+    executor = _Pool(
         max_workers=jobs, initializer=_init_worker, initargs=(setup, args)
     )
     emit("pool.spawn", jobs=jobs)
@@ -102,17 +130,19 @@ def _spawn_executor(
     return executor
 
 
-def _stop_executor(executor: ProcessPoolExecutor, interrupted: bool) -> None:
+def _stop_executor(executor: ProcessPoolExecutor, terminate: bool) -> None:
     """Shut a pool down, cancelling work that has not started.
 
-    Normally waits for running tasks.  After Ctrl-C it terminates the
-    workers instead: they ignore SIGINT, and waiting would let a long
-    task (an ILP solve, a big chunk) hold the exit for minutes.
+    Normally waits for running tasks.  With ``terminate`` it terminates
+    the workers and joins them instead: after Ctrl-C (workers ignore
+    SIGINT, and waiting would let a long task, an ILP solve or a big
+    chunk, hold the exit for minutes) and when only work whose result
+    is no longer wanted still runs.
     """
-    if interrupted:
+    if terminate:
         for process in list((executor._processes or {}).values()):
             process.terminate()
-    executor.shutdown(wait=not interrupted, cancel_futures=True)
+    executor.shutdown(wait=True, cancel_futures=True)
 
 
 # -- context cache -------------------------------------------------------------

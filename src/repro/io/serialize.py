@@ -347,6 +347,7 @@ def scenario_from_dict(data: dict) -> "Scenario":
         Scenario,
         SimulationSpec,
         TopologySpec,
+        _pair_of,
     )
 
     if not isinstance(data, dict):
@@ -368,9 +369,7 @@ def scenario_from_dict(data: dict) -> "Scenario":
             modes=[mode_from_dict(m) for m in data["modes"]],
             config=config_from_dict(data["config"]),
             backend=data.get("backend"),
-            transitions=[
-                (source, target) for source, target in data.get("transitions", [])
-            ],
+            transitions=[_pair_of(pair) for pair in data.get("transitions", [])],
             topology=TopologySpec.from_dict(data.get("topology")),
             loss=LossSpec.from_dict(data.get("loss")),
             radio=RadioSpec.from_dict(data.get("radio")),

@@ -122,14 +122,41 @@ class TestValidation:
         with pytest.raises(ScenarioError, match="simulation.duration"):
             scenario.validate()
 
+    @pytest.mark.parametrize(
+        "time", [None, "x", "100", True, -5, math.inf, math.nan], ids=repr,
+    )
+    def test_mode_request_time_must_be_finite_non_negative(self, time):
+        """Read from JSON: ``float()`` used to accept ``"100"``,
+        ``true``, ``NaN`` and ``Infinity`` and crash on ``"x"``."""
+        data = two_mode_scenario(
+            simulation=SimulationSpec(duration=100.0)
+        ).to_dict()
+        data["simulation"]["mode_requests"] = [[time, "emergency"]]
+        scenario = Scenario.from_dict(data)
+        with pytest.raises(ScenarioError,
+                           match=r"simulation\.mode_requests\[0\]\[0\]"):
+            scenario.validate()
+
+    def test_mode_request_at_time_zero_passes(self):
+        data = two_mode_scenario(
+            simulation=SimulationSpec(duration=100.0)
+        ).to_dict()
+        data["simulation"]["mode_requests"] = [[0, "emergency"]]
+        scenario = Scenario.from_dict(data)
+        scenario.validate()
+        assert scenario.simulation.mode_requests == ((0.0, "emergency"),)
+
     @pytest.mark.parametrize("path", [
         ("backend",),
         ("config", "backend"),
         ("config", "time_limit"),
         ("loss", "kind"),
         ("modes", 0, "name"),
+        ("transitions", 0),
         ("transitions", 0, 1),
         ("simulation", "initial_mode"),
+        ("simulation", "mode_requests", 0),
+        ("simulation", "mode_requests", 0, 0),
         ("simulation", "mode_requests", 0, 1),
         ("simulation", "host_node"),
         ("loss", "params"),

@@ -8,6 +8,7 @@ shared by the trial pool and the synthesis pool.
 """
 
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -240,10 +241,33 @@ class TestSigintPolicy:
         thread.join(timeout=10)
         assert not failures, failures
 
+    @pytest.mark.skipif(not Path("/proc/self/task").is_dir(),
+                        reason="reads thread signal masks from /proc")
+    def test_pool_threads_block_stop_signals(self):
+        """A pool helper thread that took a process-directed Ctrl-C or
+        SIGTERM would leave the main thread blocked on a future, never
+        seeing it."""
+        def threads():
+            return set(os.listdir("/proc/self/task"))
+
+        before = threads()
+        with TrialPool(build_ctx, run_task, jobs=2) as pool:
+            run_on(pool, "k", {"key": "k", "base": 0}, [{"x": 1}])
+            started = threads() - before
+            assert started
+            for tid in started:
+                status = Path(f"/proc/self/task/{tid}/status").read_text()
+                blocked = int(re.search(r"SigBlk:\s*(\w+)", status)[1], 16)
+                for stop in (signal.SIGINT, signal.SIGTERM):
+                    assert blocked >> (stop - 1) & 1, (tid, stop)
+        assert not {signal.SIGINT, signal.SIGTERM} & signal.pthread_sigmask(
+            signal.SIG_BLOCK, [])
+
 
 # One script, four ways to be busy in process pools when Ctrl-C hits
 # the terminal's whole process group.
 _INTERRUPT_SCRIPT = textwrap.dedent('''
+    import os
     import signal
     import sys
     import time
@@ -253,7 +277,14 @@ _INTERRUPT_SCRIPT = textwrap.dedent('''
         return data
 
 
+    def mark_busy():
+        # One marker per worker process, in the directory sys.argv[3]
+        # names: the test signals once every worker is inside a task.
+        open(os.path.join(sys.argv[3], str(os.getpid())), "w").close()
+
+
     def slow_task(context, task):
+        mark_busy()
         time.sleep(60)
         return {}
 
@@ -262,6 +293,7 @@ _INTERRUPT_SCRIPT = textwrap.dedent('''
         # HiGHS runs in C and only sees Ctrl-C once a solve returns;
         # block SIGINT so this stand-in solve does the same.
         signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+        mark_busy()
         time.sleep(60)
 
 
@@ -321,6 +353,12 @@ _INTERRUPT_SCRIPT = textwrap.dedent('''
 ''')
 
 
+# Workers every case keeps inside a stand-in task: the two pool
+# workers, or, for the sharded exploration, the two trial-pool workers
+# of the one shard that claims the two-candidate block.
+_BUSY_WORKERS = 2
+
+
 class TestInterruptedPools:
     """Ctrl-C stops every pool within seconds and leaves no worker."""
 
@@ -330,10 +368,13 @@ class TestInterruptedPools:
     def test_process_group_sigint_stops_pool(self, tmp_path, case):
         script = tmp_path / "interrupt.py"
         script.write_text(_INTERRUPT_SCRIPT)
+        markers = tmp_path / "busy"
+        markers.mkdir()
         env = dict(os.environ)
         env["PYTHONPATH"] = str(Path(__file__).resolve().parents[2] / "src")
         proc = subprocess.Popen(
-            [sys.executable, str(script), case, str(tmp_path / "st.jsonl")],
+            [sys.executable, str(script), case, str(tmp_path / "st.jsonl"),
+             str(markers)],
             env=env,
             stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
             start_new_session=True,
@@ -341,8 +382,15 @@ class TestInterruptedPools:
         pgid = proc.pid
         try:
             assert proc.stdout.readline().strip() == "ready"
-            time.sleep(2.0)  # the workers are inside their tasks now
+            # Signal only once every worker is inside its task, and so
+            # past the initializer that makes it ignore SIGINT.
+            deadline = time.monotonic() + 60
+            while (len(list(markers.iterdir())) < _BUSY_WORKERS
+                   and time.monotonic() < deadline
+                   and proc.poll() is None):
+                time.sleep(0.05)
             assert proc.poll() is None, "the script finished too early"
+            assert len(list(markers.iterdir())) == _BUSY_WORKERS
             os.killpg(pgid, signal.SIGINT)
             signalled = time.monotonic()
             _, err = proc.communicate(timeout=10)

@@ -92,27 +92,35 @@ class TestErrorMapping:
         assert err.value.status == 400
 
     @pytest.mark.parametrize(
-        "scenario", [
-            {"kind": "not-a-scenario"}, [], "x", 3,
+        "scenario, reason", [
+            ({"kind": "not-a-scenario"}, ""), ([], ""), ("x", ""), (3, ""),
             # Sent as JSON ``Infinity``: used to simulate forever.
-            dict(make_scenario().to_dict(),
-                 simulation=dict(make_scenario().simulation.to_dict(),
-                                 duration=float("inf"))),
+            (dict(make_scenario().to_dict(),
+                  simulation=dict(make_scenario().simulation.to_dict(),
+                                  duration=float("inf"))), ""),
             # Used to raise TypeError: a 500 ``internal``.
-            dict(make_scenario().to_dict(), loss={"kind": [], "params": {}}),
-            dict(make_scenario().to_dict(),
-                 radio={"payload_bytes": "x", "diameter": 4}),
-            dict(make_scenario().to_dict(),
-                 topology={"kind": [], "params": {}}),
+            (dict(make_scenario().to_dict(),
+                  loss={"kind": [], "params": {}}), ""),
+            (dict(make_scenario().to_dict(),
+                  radio={"payload_bytes": "x", "diameter": 4}), ""),
+            (dict(make_scenario().to_dict(),
+                  topology={"kind": [], "params": {}}), ""),
+            # Used to raise ValueError in float(): a 500 ``internal``.
+            (dict(make_scenario().to_dict(),
+                  simulation=dict(make_scenario().simulation.to_dict(),
+                                  mode_requests=[["x", "normal"]])),
+             "simulation.mode_requests[0][0]"),
         ],
         ids=["wrong-kind", "list", "string", "int", "infinite-duration",
-             "list-loss-kind", "string-payload-bytes", "list-topology-kind"],
+             "list-loss-kind", "string-payload-bytes", "list-topology-kind",
+             "string-request-time"],
     )
-    def test_bad_scenario_400(self, client, scenario):
+    def test_bad_scenario_400(self, client, scenario, reason):
         with pytest.raises(ServiceError) as err:
             client._request("POST", "/jobs", {"scenario": scenario})
         assert err.value.status == 400
         assert err.value.error == "bad_request"
+        assert reason in err.value.reason
 
     def test_bad_state_filter_400(self, client):
         with pytest.raises(ServiceError) as err:

@@ -360,6 +360,32 @@ class TestMalformedInputFiles:
         assert "simulation.duration" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("section, key, value, path", [
+        ("simulation", "mode_requests", [["x", "emergency"]],
+         "simulation.mode_requests[0][0]"),
+        ("simulation", "mode_requests", [[1]], "simulation.mode_requests[0]"),
+        ("simulation", "mode_requests", [[1, "emergency", 3]],
+         "simulation.mode_requests[0]"),
+        (None, "transitions", [["normal"]], "transitions[0]"),
+        (None, "transitions", [["normal", "emergency", "x"]],
+         "transitions[0]"),
+    ], ids=["request-time-x", "request-short", "request-long",
+            "transition-short", "transition-long"])
+    def test_malformed_pair_is_a_clean_error(self, scenario_file, tmp_path,
+                                             capsys, section, key, value,
+                                             path):
+        """These used to crash in ``float()`` or tuple unpacking with a
+        ``ValueError`` traceback, before validation ran."""
+        data = json.loads(scenario_file.read_text())
+        (data[section] if section else data)[key] = value
+        bad = tmp_path / "pair.scenario.json"
+        bad.write_text(json.dumps(data))
+        assert main(["scenario", "mc", str(bad), "--trials", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert f"{path} must be" in err
+        assert "Traceback" not in err
+
     def test_legacy_spec_missing_field(self, tmp_path, capsys):
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps({"config": {"round_length": 1.0},
