@@ -1,7 +1,8 @@
 """Ablation: Algorithm 1 cold start vs. demand-bound warm start.
 
 The paper's Algorithm 1 starts at R_M = 0 and increments; the demand
-bound ceil(instances / B) is a provably-safe starting point.  This
+bound (ceil(instances / B), and one round per hop of every chain
+instance) is a provably-safe starting point.  This
 bench measures how many ILP iterations and how much wall-clock the
 warm start saves on message-heavy modes, while asserting identical
 results.

@@ -772,7 +772,8 @@ def build_parser() -> argparse.ArgumentParser:
                           "transitions) here")
     run.add_argument("--warm-start", action="store_true",
                      help="start Algorithm 1 at the demand lower bound "
-                          "(default: off — the paper's exact loop)")
+                          "(slots per round, and one round per chain "
+                          "hop) (default: off — the paper's exact loop)")
     run.add_argument("--no-simulate", action="store_true",
                      help="skip the scenario's simulation phase")
     _add_engine_flags(run)
@@ -786,9 +787,10 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("-O", "--output-dir", default=None,
                        help="write <name>.system.json images here")
     sweep.add_argument("--no-warm-start", action="store_true",
-                       help="disable the demand-bound warm start "
-                            "(sweeps default to warm starts ON; schedules "
-                            "are identical either way)")
+                       help="disable the demand-bound warm start (slots "
+                            "per round, one round per chain hop; sweeps "
+                            "default to warm starts ON; schedules are "
+                            "identical either way)")
     sweep.add_argument("--no-simulate", action="store_true",
                        help="skip all simulation phases")
     _add_engine_flags(sweep)
@@ -826,7 +828,8 @@ def build_parser() -> argparse.ArgumentParser:
                          "(bit-identical to 'fast', mainly for "
                          "cross-checks)")
     mc.add_argument("--no-warm-start", action="store_true",
-                    help="disable the demand-bound warm start (campaigns "
+                    help="disable the demand-bound warm start (slots per "
+                         "round, one round per chain hop; campaigns "
                          "default to warm starts ON; schedules are "
                          "identical either way)")
     mc.add_argument("--log-dir", default=None, metavar="DIR",
@@ -937,8 +940,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     explore.add_argument(
         "--no-warm-start", action="store_true",
-        help="disable the demand-bound warm start (explorations default "
-             "to warm starts ON; schedules are identical either way)",
+        help="disable the demand-bound warm start (slots per round, one "
+             "round per chain hop; explorations default to warm starts "
+             "ON; schedules are identical either way)",
     )
     explore.add_argument(
         "--log-dir", default=None, metavar="DIR",

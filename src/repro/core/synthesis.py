@@ -26,13 +26,24 @@ from .schedule import (
 
 
 class InfeasibleError(RuntimeError):
-    """Raised when no schedule exists up to ``Rmax`` rounds."""
+    """Raised when no schedule exists up to ``Rmax`` rounds.
 
-    def __init__(self, mode: Mode, stats: SynthesisStats) -> None:
-        super().__init__(
-            f"mode {mode.name!r}: no feasible schedule with up to "
-            f"{len(stats.iterations) - 1} rounds"
-        )
+    ``first_round`` is where the search started (0, or the demand bound
+    of a warm start) and ``r_max`` is ``Rmax``; a bound above ``Rmax``
+    means no round count was even worth probing.
+    """
+
+    def __init__(
+        self, mode: Mode, stats: SynthesisStats, first_round: int, r_max: int
+    ) -> None:
+        if first_round > r_max:
+            reason = (
+                f"needs at least {first_round} rounds (demand bound), but "
+                f"only {r_max} fit in its hyperperiod"
+            )
+        else:
+            reason = f"no feasible schedule with up to {r_max} rounds"
+        super().__init__(f"mode {mode.name!r}: {reason}")
         self.stats = stats
 
 
@@ -44,17 +55,36 @@ def max_rounds(mode: Mode, config: SchedulingConfig) -> int:
 def demand_round_bound(mode: Mode, config: SchedulingConfig) -> int:
     """Lower bound on the number of rounds any feasible schedule needs.
 
-    Every message instance occupies one slot per hyperperiod (C4.4) and
-    a round offers at most ``B`` slots (C4.3), so at least
-    ``ceil(total_instances / B)`` rounds are required.  Starting
-    Algorithm 1 here skips provably-infeasible iterations without
-    losing round-minimality.
+    Two demands, each a lower bound on its own:
+
+    * **Slots.** Every message instance occupies one slot per
+      hyperperiod (C4.4) and a round offers at most ``B`` slots (C4.3),
+      so at least ``ceil(total_instances / B)`` rounds are required.
+    * **Chain hops** (eq. 13 stated in rounds). A chain instance's
+      message hops need distinct, time-ordered rounds: a hop is served
+      by a round inside its window ``[m.o, m.o + m.d]`` (C4), which
+      ends before its consumer task starts, and that task ends before
+      the next hop is released (C1.1).  All of them fall inside the
+      chain instance's window, which is no longer than the deadline
+      ``d`` (C1.2); since :class:`~repro.core.app_model.Application`
+      enforces ``d <= p``, the windows of an application's ``H / p``
+      instances are disjoint.  So the application needs at least
+      ``(H / p) * hops`` rounds, ``hops`` being the message count of
+      its longest chain.
+
+    The bound is the larger of the two, which never exceeds the
+    round-minimal ``R*``.  Starting Algorithm 1 here skips
+    provably-infeasible iterations without losing round-minimality.
     """
     lcm = mode.hyperperiod
     total = 0
+    hops = 0
     for app in mode.applications:
-        total += len(app.messages) * round(lcm / app.period)
-    return math.ceil(total / config.slots_per_round)
+        instances = round(lcm / app.period)
+        total += len(app.messages) * instances
+        longest = max(len(chain.messages) for chain in app.chains())
+        hops = max(hops, instances * longest)
+    return max(math.ceil(total / config.slots_per_round), hops)
 
 
 def solve_fixed_rounds(
@@ -109,9 +139,11 @@ def synthesize(
         min_rounds: Start the search at this round count (useful for
             warm restarts; 0 reproduces the paper exactly).
         warm_start: Additionally start at the demand lower bound
-            (:func:`demand_round_bound`) — an optimization over the
-            paper's Algorithm 1 that preserves round-minimality while
-            skipping provably-infeasible iterations.
+            (:func:`demand_round_bound`: slots per round, and one round
+            per message hop of every chain instance, eq. 13) — an
+            optimization over the paper's Algorithm 1 that preserves
+            round-minimality while skipping provably-infeasible
+            iterations.
         backend: Solver backend name overriding ``config.backend`` (see
             :func:`repro.milp.available_backends`).  With a heuristic
             backend the schedule is feasible and verified but may use
@@ -142,7 +174,7 @@ def synthesize(
             return extract_schedule(mode, config, handles, solution, stats)
 
     stats.total_time = time.monotonic() - started
-    raise InfeasibleError(mode, stats)
+    raise InfeasibleError(mode, stats, min_rounds, r_max)
 
 
 def extract_schedule(

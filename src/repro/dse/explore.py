@@ -181,13 +181,7 @@ class ExplorationResult:
             "store": self.store_path,
             "candidates": [c.to_dict() for c in self.candidates],
             "front": [c.name for c in self.front],
-            "engine": {
-                "cache_hits": self.stats.cache_hits,
-                "cache_misses": self.stats.cache_misses,
-                "modes_synthesized": self.stats.modes_synthesized,
-                "solver_runs": self.stats.solver_runs,
-                "total_time": self.stats.total_time,
-            },
+            "engine": self.stats.to_dict(),
         }
 
 

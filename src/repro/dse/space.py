@@ -43,7 +43,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
-from ..api.scenario import Scenario, ScenarioError
+from ..api.scenario import Scenario, ScenarioError, _request_of
 from ..io.serialize import (
     SCHEMA_VERSION,
     SerializationError,
@@ -144,13 +144,12 @@ def _set_mode_requests(scenario: Scenario, value: object) -> Scenario:
             "axis targets simulation.mode_requests but the base scenario "
             "has no simulation spec"
         )
-    try:
-        requests = tuple((float(t), str(mode)) for t, mode in value)
-    except (TypeError, ValueError):
-        raise SpaceError(
-            f"mode_requests axis values must be [[time, mode], ...] lists, "
-            f"got {value!r}"
-        ) from None
+    # Well-formed pairs become ``(time, mode)`` tuples, as in scenario
+    # JSON; anything else stays as given for Scenario.validate to reject.
+    requests = (
+        tuple(_request_of(request) for request in value)
+        if isinstance(value, (list, tuple)) else value
+    )
     return dataclasses.replace(
         scenario,
         simulation=dataclasses.replace(

@@ -12,15 +12,23 @@ Any change to the problem inputs — an application's period, a WCET, the
 round length, the backend — changes the fingerprint and therefore misses
 the cache; stale entries are never returned.  Corrupt or
 version-incompatible files are treated as misses and removed.
+
+One cache object is also the single-flight point of the threads that
+share it (the ``repro serve`` workers): after a miss, a thread claims
+the problem before solving it, and a thread that misses on a problem
+another thread is solving waits for that solve instead of repeating
+it.  Hits never wait, and distinct problems solve in parallel.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import threading
+import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
+from typing import Dict, Optional
 
 from ..core.modes import Mode
 from ..core.schedule import ModeSchedule, SchedulingConfig
@@ -71,6 +79,11 @@ class ScheduleCache:
     entries are pure content-addressed functions of their problem, so
     an evicted-then-recomputed schedule is bit-identical to the one
     that was dropped.
+
+    Thread safety: the counters in :attr:`stats` are updated under a
+    lock, and :meth:`claim` / :meth:`release` / :meth:`wait` make the
+    solve of one problem single-flight among the threads of a process
+    (:func:`repro.engine.api.run_cached_batch` drives them).
     """
 
     def __init__(
@@ -91,6 +104,9 @@ class ScheduleCache:
         self.max_entries = max_entries
         self.max_bytes = max_bytes
         self.stats = CacheStats()
+        self._lock = threading.Lock()
+        # fingerprint -> event set when the thread solving it releases it
+        self._solving: Dict[str, threading.Event] = {}
 
     def key(self, mode: Mode, config: SchedulingConfig) -> str:
         """The content hash addressing ``(mode, config)``."""
@@ -109,16 +125,16 @@ class ScheduleCache:
                 raise SerializationError(f"schema {payload.get('schema')!r}")
             schedule = schedule_from_dict(payload["schedule"])
         except FileNotFoundError:
-            self.stats.misses += 1
+            self._count("misses")
             emit("cache.miss", key=key, mode=mode.name)
             return None
         except (SerializationError, json.JSONDecodeError, KeyError, TypeError):
             # Unreadable entry: drop it and treat as a miss.
             path.unlink(missing_ok=True)
-            self.stats.misses += 1
+            self._count("misses")
             emit("cache.miss", key=key, mode=mode.name, corrupt=True)
             return None
-        self.stats.hits += 1
+        self._count("hits")
         emit("cache.hit", key=key, mode=mode.name)
         try:
             os.utime(path)  # refresh LRU recency
@@ -139,15 +155,60 @@ class ScheduleCache:
         }
         self.cache_dir.mkdir(parents=True, exist_ok=True)
         path = self._path(key)
-        # Write-then-rename so concurrent readers never see a torn file.
-        tmp = path.with_suffix(".tmp")
+        # Write-then-rename so concurrent readers never see a torn file;
+        # the temporary name is per writer, so two processes storing
+        # the same entry (shards sharing a cache) never rename each
+        # other's file away.
+        tmp = path.with_name(
+            f"{path.name}.{os.getpid()}-{threading.get_ident()}.tmp"
+        )
         tmp.write_text(json.dumps(payload, indent=2, sort_keys=True))
         tmp.replace(path)
-        self.stats.stores += 1
+        self._count("stores")
         emit("cache.store", key=key, mode=mode.name)
         if self.max_entries is not None or self.max_bytes is not None:
             self._evict(keep=path.name)
         return key
+
+    def _count(self, counter: str) -> None:
+        with self._lock:
+            setattr(self.stats, counter, getattr(self.stats, counter) + 1)
+
+    # -- single flight ---------------------------------------------------
+    def claim(self, key: str) -> bool:
+        """Take the solve of ``key`` for the calling thread, after a miss.
+
+        True: the caller owns the solve; it must :meth:`put` the
+        schedule, if it gets one, and then :meth:`release` ``key`` on
+        every exit, a failed solve included.  False: another thread of
+        this process is solving ``key``, or stored it since the
+        caller's miss; the caller should :meth:`wait`, then :meth:`get`
+        again.
+        """
+        with self._lock:
+            if key in self._solving or self._path(key).exists():
+                return False
+            self._solving[key] = threading.Event()
+            return True
+
+    def release(self, key: str) -> None:
+        """End the caller's claim on ``key`` and wake its waiters."""
+        with self._lock:
+            released = self._solving.pop(key)
+        released.set()
+
+    def wait(self, key: str) -> None:
+        """Block until no thread of this process is solving ``key``.
+
+        An actual wait writes one ``cache.wait`` run-log event.
+        """
+        with self._lock:
+            released = self._solving.get(key)
+        if released is None:
+            return
+        started = time.perf_counter()
+        released.wait()
+        emit("cache.wait", key=key, seconds=time.perf_counter() - started)
 
     def _evict(self, keep: str) -> None:
         """Drop least-recently-used entries until the limits hold."""
@@ -176,7 +237,7 @@ class ScheduleCache:
                 continue
             count -= 1
             total -= size
-            self.stats.evictions += 1
+            self._count("evictions")
             emit("cache.evict", key=name[: -len(".json")], bytes=size)
 
     def usage(self) -> dict:

@@ -102,7 +102,10 @@ class _SpeculativeSearch:
         mode.validate()
         self.mode = mode
         self.config = config
-        self.next_round = demand_round_bound(mode, config) if warm_start else 0
+        self.first_round = (
+            demand_round_bound(mode, config) if warm_start else 0
+        )
+        self.next_round = self.first_round
         self.r_max = max_rounds(mode, config)
         self.best_feasible: Optional[int] = None
         self._schedule_data: Optional[dict] = None
@@ -165,7 +168,9 @@ class _SpeculativeSearch:
     def result(self) -> ModeSchedule:
         """The round-minimal schedule; raises if the mode is infeasible."""
         if self.best_feasible is None or self._schedule_data is None:
-            raise InfeasibleError(self.mode, self.stats())
+            raise InfeasibleError(
+                self.mode, self.stats(), self.first_round, self.r_max
+            )
         schedule = schedule_from_dict(self._schedule_data)
         schedule.solve_stats = self.stats()
         return schedule

@@ -295,15 +295,26 @@ def load_system_image(path: str | Path) -> SystemImage:
             f"unsupported schema {payload.get('schema')!r} "
             f"(expected {SCHEMA_VERSION})"
         )
+    transitions = payload.get("transitions", [])
+    if not isinstance(transitions, list):
+        raise SerializationError(
+            f"transitions must be an array of mode-name pairs, "
+            f"got {transitions!r}"
+        )
+    for index, pair in enumerate(transitions):
+        if not (isinstance(pair, list) and len(pair) == 2
+                and all(isinstance(name, str) for name in pair)):
+            raise SerializationError(
+                f"transitions[{index}] must be a pair of mode names, "
+                f"got {pair!r}"
+            )
     return SystemImage(
         modes=[mode_from_dict(m) for m in payload["modes"]],
         schedules={
             name: schedule_from_dict(s)
             for name, s in payload["schedules"].items()
         },
-        transitions=[
-            (source, target) for source, target in payload.get("transitions", [])
-        ],
+        transitions=[(source, target) for source, target in transitions],
     )
 
 

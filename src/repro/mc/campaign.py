@@ -196,13 +196,7 @@ class CampaignResult:
             "ok": self.ok,
             "trial_engines": dict(self.engines),
             "wall_seconds": dict(self.wall_seconds),
-            "engine": {
-                "cache_hits": self.stats.cache_hits,
-                "cache_misses": self.stats.cache_misses,
-                "modes_synthesized": self.stats.modes_synthesized,
-                "solver_runs": self.stats.solver_runs,
-                "total_time": self.stats.total_time,
-            },
+            "engine": self.stats.to_dict(),
         }
 
 

@@ -7,8 +7,12 @@ paths the batch tools use:
 
 * synthesis via :func:`repro.api.experiment.synthesize_scenarios`
   against the service's shared :class:`~repro.engine.cache
-  .ScheduleCache`, in the worker thread and one at a time — the
-  solver is CPU-bound and the cache counters stay exact;
+  .ScheduleCache`, in the worker thread, concurrently with the other
+  workers: the cache is the single-flight point, so a job whose
+  schedule is cached never waits for another job's solve, distinct
+  cold modes solve in parallel (HiGHS releases the GIL), and a mode
+  two jobs need at once is solved once while the other job waits for
+  it;
 * trials via :func:`repro.runtime.trial.execute_trial_batch` over the
   service's long-lived :class:`~repro.engine.trials.TrialPool`, in
   **batches** of ``trial_batch`` seeds with the execution's cancel
@@ -123,7 +127,6 @@ class JobQueue:
         self._inflight = 0
         self._stopping = False
         self._threads: List[threading.Thread] = []
-        self._synth_lock = threading.Lock()
         # Admission/throughput counters (all under _condition's lock).
         self.accepted = 0
         self.rejected: Dict[str, int] = {
@@ -331,19 +334,12 @@ class JobQueue:
                 requested: dict(used)
                 for requested, used in self.engine_resolution.items()
             }
-        stats = self.engine_stats
         return {
             "admission": counters,
             "dedup": self.dedup.stats(),
             "engine_resolution": resolution,
             "jobs": self.table.counts(),
-            "engine": {
-                "cache_hits": stats.cache_hits,
-                "cache_misses": stats.cache_misses,
-                "modes_synthesized": stats.modes_synthesized,
-                "solver_runs": stats.solver_runs,
-                "total_time": stats.total_time,
-            },
+            "engine": self.engine_stats.to_dict(),
         }
 
     # -- execution -------------------------------------------------------
@@ -412,19 +408,19 @@ class JobQueue:
 
         self._transition_all(execution, "synthesizing")
 
-        # Phase 1 — synthesis (serialized: exact cache/engine counters,
-        # and the solver is CPU-bound anyway).
-        with self._synth_lock:
-            try:
-                schedules, reports, _ = synthesize_scenarios(
-                    [scenario], jobs=1, cache=self.cache,
-                    stats=self.engine_stats,
-                )
-            except InfeasibleError as exc:
-                self._fail_with_record(
-                    execution, record_of(error=f"infeasible: {exc}")
-                )
-                return
+        # Phase 1 — synthesis, concurrent with the other workers: the
+        # shared cache makes each mode's solve single-flight, and the
+        # engine counters are merged under a lock.
+        try:
+            schedules, reports, _ = synthesize_scenarios(
+                [scenario], jobs=1, cache=self.cache,
+                stats=self.engine_stats,
+            )
+        except InfeasibleError as exc:
+            self._fail_with_record(
+                execution, record_of(error=f"infeasible: {exc}")
+            )
+            return
         by_mode = schedules[scenario.name]
         mode_reports = reports[scenario.name]
         if not all(report.ok for report in mode_reports.values()):

@@ -1,6 +1,8 @@
 """Parameter spaces: typed transforms, enumeration, (de)serialization."""
 
 import dataclasses
+import math
+import re
 
 import pytest
 
@@ -77,6 +79,29 @@ class TestApplyTarget:
         bare = dataclasses.replace(dse_base, radio=None)
         with pytest.raises(SpaceError, match="no radio spec"):
             apply_target(bare, "payload", 8)
+
+    def test_mode_requests_transform(self, dse_base):
+        derived = apply_target(dse_base, "mode_requests", [[100, "normal"]])
+        assert derived.simulation.mode_requests == ((100.0, "normal"),)
+        derived.validate()
+
+    @pytest.mark.parametrize("request_, path", [
+        (["100", "normal"], "[0][0]"),
+        ([True, "normal"], "[0][0]"),
+        ([-5, "normal"], "[0][0]"),
+        ([math.nan, "normal"], "[0][0]"),
+        ([100, 5], "[0][1]"),
+    ], ids=["string-time", "bool-time", "negative-time", "nan-time",
+            "non-string-mode"])
+    def test_mode_requests_values_are_not_coerced(self, dse_base, request_,
+                                                  path):
+        """The values scenario JSON rejects: they used to be coerced with
+        ``float()``/``str()`` and run."""
+        space = Space(base=dse_base,
+                      axes=[Axis("requests", "mode_requests", [[request_]])])
+        with pytest.raises(SpaceError,
+                           match=re.escape(f"simulation.mode_requests{path}")):
+            space.candidate({"requests": [request_]})
 
     def test_custom_transform_registry(self, dse_base):
         register_transform(

@@ -1,12 +1,30 @@
-"""Persistent schedule cache: hits, misses, and invalidation."""
+"""Persistent schedule cache: hits, misses, invalidation, single flight."""
 
 import json
+import sys
+import threading
+import time
+from pathlib import Path
 
 import pytest
 
-from repro.core import Mode, SchedulingConfig, synthesize, verify_schedule
+import repro.engine.api as engine_api
+from repro.core import (
+    InfeasibleError,
+    Mode,
+    SchedulingConfig,
+    synthesize,
+    verify_schedule,
+)
+from repro.core.schedule import SynthesisStats
 from repro.engine import EngineStats, ScheduleCache, run_cached_batch
-from repro.io import mode_from_dict, mode_to_dict, synthesis_fingerprint
+from repro.io import (
+    mode_from_dict,
+    mode_to_dict,
+    schedule_to_dict,
+    synthesis_fingerprint,
+)
+from repro.obs import RunLog, read_log, set_run_log
 from repro.workloads import closed_loop_pipeline
 
 
@@ -110,6 +128,31 @@ class TestCacheBehavior:
         path.write_text("{not json")
         assert cache.get(mode, config) is None
         assert not path.exists()
+
+    def test_concurrent_puts_of_one_entry(self, cache, mode, config,
+                                          monkeypatch):
+        """A second writer stores the entry between the first one's write
+        and rename; neither renames the other's temporary file away."""
+        schedule = synthesize(mode, config)
+        real_replace = Path.replace
+        nested = []
+
+        def replace(path, target):
+            if not nested:
+                nested.append(threading.Thread(
+                    target=cache.put, args=(mode, config, schedule)))
+                nested[0].start()
+                nested[0].join(30)
+            return real_replace(path, target)
+
+        monkeypatch.setattr(Path, "replace", replace)
+        cache.put(mode, config, schedule)
+        assert not nested[0].is_alive()
+        assert cache.stats.stores == 2
+        assert [path.name for path in cache.cache_dir.iterdir()] == [
+            f"{cache.key(mode, config)}.json"
+        ]
+        assert cache.get(mode, config) is not None
 
     def test_wrong_schema_is_miss(self, cache, mode, config):
         cache.put(mode, config, synthesize(mode, config))
@@ -294,3 +337,183 @@ class TestSizePolicy:
         assert usage["stores"] == 2
         assert usage["hits"] == 1
         assert usage["evictions"] == 0
+
+
+# -- single flight -------------------------------------------------------------
+
+
+def _blocked_waiting(thread):
+    """True once ``thread`` is inside ``threading.Event.wait``."""
+    frame = sys._current_frames().get(thread.ident)
+    while frame is not None:
+        if frame.f_code is threading.Event.wait.__code__:
+            return True
+        frame = frame.f_back
+    return False
+
+
+def _until(predicate, timeout=30.0):
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        assert time.monotonic() < deadline, "condition not met in time"
+        time.sleep(0.002)
+
+
+class GatedSolve:
+    """Stands in for the engine's solver: a solve of a gated mode blocks
+    until the gate opens, and the first one may then fail."""
+
+    def __init__(self, gated, fail_first=False):
+        self.real = engine_api.synthesize_batch
+        self.gated = set(gated)
+        self.gate = threading.Event()
+        self.started = threading.Event()
+        self.fail_first = fail_first
+        self.solved = []
+        self.lock = threading.Lock()
+
+    def __call__(self, problems, jobs=1, warm_start=True):
+        names = [mode.name for mode, _ in problems]
+        if self.gated & set(names):
+            self.started.set()
+            assert self.gate.wait(30), "gate never opened"
+            with self.lock:
+                fail, self.fail_first = self.fail_first, False
+            if fail:
+                mode, _ = problems[0]
+                raise InfeasibleError(
+                    mode, SynthesisStats(mode_name=mode.name), 0, 0
+                )
+        with self.lock:
+            self.solved.extend(names)
+        return self.real(problems, jobs=jobs, warm_start=warm_start)
+
+
+class Caller(threading.Thread):
+    """One ``run_cached_batch`` call in its own thread."""
+
+    def __init__(self, problems, **kwargs):
+        super().__init__(daemon=True)
+        self.problems, self.kwargs = problems, kwargs
+        self.result = self.error = None
+
+    def run(self):
+        try:
+            self.result = run_cached_batch(self.problems, **self.kwargs)
+        except Exception as exc:  # re-raised as an assertion in the test
+            self.error = exc
+
+    def finish(self, timeout=30.0):
+        self.join(timeout)
+        assert not self.is_alive(), "caller still running"
+        return self
+
+
+@pytest.fixture
+def run_log(tmp_path):
+    log = RunLog(tmp_path / "log")
+    previous = set_run_log(log)
+    yield log
+    set_run_log(previous)
+    log.close()
+
+
+def other_mode(name, period):
+    return Mode(name, [
+        closed_loop_pipeline("b", period=period, deadline=period, num_hops=2),
+    ])
+
+
+class TestSingleFlight:
+    def test_claim_is_exclusive_until_released(self, cache):
+        assert cache.claim("k") is True
+        assert cache.claim("k") is False
+        cache.release("k")
+        assert cache.claim("k") is True
+        cache.release("k")
+
+    def test_claim_refused_once_stored(self, cache, mode, config):
+        """A miss that raced another thread's put does not solve again."""
+        key = cache.key(mode, config)
+        assert cache.get(mode, config) is None
+        cache.put(mode, config, synthesize(mode, config))
+        assert cache.claim(key) is False
+        cache.wait(key)  # nothing in flight: returns at once
+
+    def test_waiter_reads_the_solvers_schedule(self, cache, mode, config,
+                                               monkeypatch, run_log):
+        solve = GatedSolve({mode.name})
+        monkeypatch.setattr(engine_api, "synthesize_batch", solve)
+        stats = EngineStats()
+        first = Caller([(mode, config)], cache=cache, stats=stats)
+        first.start()
+        assert solve.started.wait(30)
+        second = Caller([(mode, config)], cache=cache, stats=stats)
+        second.start()
+        _until(lambda: _blocked_waiting(second))
+        solve.gate.set()
+        first.finish(), second.finish()
+        assert first.error is None and second.error is None
+        assert solve.solved == [mode.name]
+        assert stats.modes_synthesized == 1
+        # first: one miss; second: one miss, then a hit after the wait.
+        assert (stats.cache_misses, stats.cache_hits) == (2, 1)
+        assert (cache.stats.misses, cache.stats.hits) == (2, 1)
+        expected = schedule_to_dict(synthesize(mode, config, warm_start=True))
+        assert schedule_to_dict(first.result[0]) == expected
+        assert schedule_to_dict(second.result[0]) == expected
+        waits = [e for e in read_log(run_log.path) if e.kind == "cache.wait"]
+        assert len(waits) == 1
+        assert waits[0].data["key"] == cache.key(mode, config)
+        assert waits[0].data["seconds"] >= 0
+
+    def test_failed_solve_releases_the_claim(self, cache, mode, config,
+                                             monkeypatch, run_log):
+        """The waiter re-checks after the solver fails, and solves on its
+        own."""
+        solve = GatedSolve({mode.name}, fail_first=True)
+        monkeypatch.setattr(engine_api, "synthesize_batch", solve)
+        stats = EngineStats()
+        first = Caller([(mode, config)], cache=cache, stats=stats)
+        first.start()
+        assert solve.started.wait(30)
+        second = Caller([(mode, config)], cache=cache, stats=stats)
+        second.start()
+        _until(lambda: _blocked_waiting(second))
+        solve.gate.set()
+        first.finish(), second.finish()
+        assert isinstance(first.error, InfeasibleError)
+        assert second.error is None
+        assert solve.solved == [mode.name]
+        assert stats.modes_synthesized == 1
+        assert (stats.cache_misses, stats.cache_hits) == (3, 0)
+        assert (cache.stats.misses, cache.stats.hits) == (3, 0)
+        assert cache.get(mode, config) is not None
+        assert cache.claim(cache.key(mode, config)) is False  # stored
+        kinds = [e.kind for e in read_log(run_log.path)]
+        assert kinds.count("cache.wait") == 1
+
+    def test_hits_and_other_modes_do_not_wait(self, cache, mode, config,
+                                              monkeypatch):
+        """While one mode solves, a cached mode and a distinct cold mode
+        are both answered."""
+        cached, cold = other_mode("hit", 40), other_mode("cold", 80)
+        run_cached_batch([(cached, config)], cache=cache)
+        solve = GatedSolve({mode.name})
+        monkeypatch.setattr(engine_api, "synthesize_batch", solve)
+        blocked = Caller([(mode, config)], cache=cache)
+        blocked.start()
+        try:
+            assert solve.started.wait(30)
+            hit = Caller([(cached, config)], cache=cache)
+            other = Caller([(cold, config)], cache=cache)
+            hit.start(), other.start()
+            hit.finish(10), other.finish(10)
+            assert hit.error is None and other.error is None
+            assert hit.result[0].num_rounds > 0
+            assert other.result[0].num_rounds > 0
+            assert blocked.is_alive()
+        finally:
+            solve.gate.set()
+        blocked.finish()
+        assert blocked.error is None

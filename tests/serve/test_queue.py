@@ -1,16 +1,20 @@
 """JobQueue: admission control, dedup, execution, cancellation."""
 
 import contextlib
+import sys
 import threading
 import time
 
 import pytest
 
+import repro.engine.api as engine_api
 from repro.api import Scenario
 from repro.api.scenario import ScenarioError
-from repro.core import Mode, SchedulingConfig
+from repro.core import Mode, SchedulingConfig, synthesize
 from repro.dse.store import open_store
+from repro.engine.cache import ScheduleCache
 from repro.engine.trials import TrialPool
+from repro.io import schedule_to_dict
 from repro.runtime.trial import build_context, execute_trial_batch
 from repro.serve.dedup import job_key
 from repro.serve.jobs import TERMINAL, JobTable
@@ -352,3 +356,122 @@ class TestStoreRecords:
         assert record["written_at"] > 0
         assert second["cached"] is True
         assert second["result"] == record
+
+
+# -- concurrent synthesis ------------------------------------------------------
+
+
+def synth_job(name: str, modes) -> Scenario:
+    """A synthesis-only scenario over ``modes`` (HiGHS, small ILPs)."""
+    return Scenario(
+        name=name, modes=list(modes),
+        config=SchedulingConfig(round_length=50.0, slots_per_round=2,
+                                max_round_gap=None),
+    )
+
+
+def pipeline_mode(index: int, name: str = "normal") -> Mode:
+    period = 1000.0 + 250.0 * index
+    return Mode(name, [closed_loop_pipeline(
+        "loop", period=period, deadline=period, num_hops=1 + index % 3,
+        wcet=1.0)])
+
+
+class GatedSynthesis:
+    """Stands in for the engine's solver: solves of the gated mode block
+    until the gate opens."""
+
+    def __init__(self, gated: Mode):
+        self.real = engine_api.synthesize_batch
+        self.gated = gated
+        self.gate = threading.Event()
+        self.started = threading.Event()
+
+    def __call__(self, problems, jobs=1, warm_start=True):
+        if any(mode is self.gated for mode, _ in problems):
+            self.started.set()
+            assert self.gate.wait(60), "gate never opened"
+        return self.real(problems, jobs=jobs, warm_start=warm_start)
+
+
+class TestConcurrentSynthesis:
+    def test_cached_job_does_not_queue_behind_a_solve(self, tmp_path,
+                                                      monkeypatch):
+        """Head-of-line: while one job's solve is held, a job whose
+        schedule is cached reaches ``done``."""
+        cache = ScheduleCache(tmp_path / "cache")
+        cached, slow = pipeline_mode(0), pipeline_mode(1)
+        with running_queue(cache=cache) as queue:
+            warm = queue.submit(synth_job("warm", [cached]))
+            assert wait_terminal(queue, warm["id"])["state"] == "done"
+            solve = GatedSynthesis(slow)
+            monkeypatch.setattr(engine_api, "synthesize_batch", solve)
+            held = queue.submit(synth_job("held", [slow]))
+            try:
+                assert solve.started.wait(30)
+                hit = queue.submit(synth_job("hit", [cached]))
+                done = wait_terminal(queue, hit["id"], timeout=10)
+                assert done["state"] == "done"
+                assert queue.table.get(held["id"])["state"] == "synthesizing"
+            finally:
+                solve.gate.set()
+            assert wait_terminal(queue, held["id"])["state"] == "done"
+            assert queue.engine_stats.modes_synthesized == 2
+
+    def test_stress_shared_modes_solve_once(self, tmp_path):
+        """Four workers on shared and distinct modes, with thread switches
+        forced often: every job ends ``done``, each distinct mode is
+        solved exactly once, the counters stay exact, and every schedule
+        equals the sequential one."""
+
+        class CountingCache(ScheduleCache):
+            def __init__(self, path):
+                super().__init__(path)
+                self.lookups = 0
+                self._lookups_lock = threading.Lock()
+
+            def get(self, mode, config):
+                with self._lookups_lock:
+                    self.lookups += 1
+                return super().get(mode, config)
+
+        modes = [pipeline_mode(index, name=f"m{index}") for index in range(6)]
+        # Six one-mode jobs and twelve two-mode jobs, submitted two-mode
+        # first: most jobs need a mode another job is solving or solved.
+        scenarios = [synth_job(f"one-{i}", [modes[i]]) for i in range(6)]
+        scenarios += [
+            synth_job(f"two-{i}", [modes[i % 6], modes[(i * 5 + 1) % 6]])
+            for i in range(12)
+        ]
+        cache = CountingCache(tmp_path / "cache")
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with running_queue(cache=cache, workers=4) as queue:
+                jobs = [queue.submit(s) for s in reversed(scenarios)]
+                finals = [wait_terminal(queue, job["id"], timeout=120)
+                          for job in jobs]
+                assert queue.drain(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert {job["state"] for job in finals} == {"done"}
+        stats = queue.engine_stats
+        assert stats.modes_synthesized == len(modes)
+        assert cache.stats.stores == len(modes)
+        assert stats.cache_hits + stats.cache_misses == cache.lookups
+        assert (stats.cache_hits, stats.cache_misses) == (
+            cache.stats.hits, cache.stats.misses)
+        config = scenarios[0].effective_config
+        expected = {
+            mode.name: synthesize(mode, config, warm_start=True)
+            for mode in modes
+        }
+        for mode in modes:
+            assert schedule_to_dict(cache.get(mode, config)) == \
+                schedule_to_dict(expected[mode.name])
+        for scenario, job in zip(reversed(scenarios), finals):
+            record = job["result"]
+            assert record["rounds"] == sum(
+                expected[m.name].num_rounds for m in scenario.modes)
+            assert record["total_latency"] == pytest.approx(sum(
+                expected[m.name].total_latency for m in scenario.modes))

@@ -386,6 +386,30 @@ class TestMalformedInputFiles:
         assert f"{path} must be" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("transitions, path", [
+        ([["normal"]], "transitions[0]"),
+        ([["normal", "normal"], ["normal", "normal", "x"]], "transitions[1]"),
+        ([["normal", 3]], "transitions[0]"),
+        ("normal", "transitions"),
+    ], ids=["short", "long", "non-string", "not-an-array"])
+    @pytest.mark.parametrize("command", [
+        ["verify"], ["simulate", "-d", "40"],
+    ], ids=["verify", "simulate"])
+    def test_malformed_system_transition_is_a_clean_error(
+        self, system_file, tmp_path, capsys, command, transitions, path
+    ):
+        """A system file's pairs used to crash in the tuple unpacking of
+        ``load_system_image`` with a ``ValueError`` traceback."""
+        data = json.loads(system_file.read_text())
+        data["transitions"] = transitions
+        bad = tmp_path / "pair.system.json"
+        bad.write_text(json.dumps(data))
+        assert main(command + [str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert f"{path} must be" in err
+        assert "Traceback" not in err
+
     def test_legacy_spec_missing_field(self, tmp_path, capsys):
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps({"config": {"round_length": 1.0},
