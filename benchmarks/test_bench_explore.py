@@ -29,7 +29,7 @@ import time
 from repro.analysis import bench_table
 from repro.api import LossSpec, RadioSpec, Scenario, SimulationSpec
 from repro.core import Mode, SchedulingConfig
-from repro.dse import Axis, Space, explore, explore_sharded
+from repro.dse import Axis, Space, explore
 from repro.workloads import closed_loop_pipeline
 
 TRIALS = int(os.environ.get("EXPLORE_BENCH_TRIALS", "20"))
@@ -102,7 +102,7 @@ def test_bench_explore(tmp_path, capsys, bench_record):
     # Sharded pass: the same fresh exploration fanned out over a
     # work-stealing pool of SHARDS processes.
     started = time.monotonic()
-    sharded = explore_sharded(
+    sharded = explore(
         space, shards=SHARDS, sampler="grid", objectives=objectives,
         store=tmp_path / "sharded.jsonl", engine="fast",
     )

@@ -349,46 +349,23 @@ class Experiment:
         persistent ``store`` (JSONL or SQLite path) makes the
         exploration resumable: completed candidates are never
         re-executed.  ``shards > 1`` fans candidate evaluation out
-        over a work-stealing pool of shard processes
-        (:func:`repro.dse.explore_sharded`; requires a persistent
-        store).  See :func:`repro.dse.explore` for the full parameter
-        set and :doc:`docs/EXPLORATION.md` for a worked example.
+        over a work-stealing pool of shard processes (requires a
+        persistent store).  See :func:`repro.dse.explore` for the full
+        parameter set and :doc:`docs/EXPLORATION.md` for a worked
+        example.
 
         Returns:
             A :class:`repro.dse.ExplorationResult`.
         """
         from ..dse import DEFAULT_BATCH_SIZE, DEFAULT_OBJECTIVES
         from ..dse import explore as run_exploration
-        from ..dse import explore_sharded
 
-        objectives = (
-            objectives if objectives is not None else DEFAULT_OBJECTIVES
-        )
-        batch_size = (
-            batch_size if batch_size is not None else DEFAULT_BATCH_SIZE
-        )
-        if shards > 1:
-            return explore_sharded(
-                space,
-                shards=shards,
-                sampler=sampler,
-                objectives=objectives,
-                trials=trials,
-                seeds=seeds,
-                samples=samples,
-                jobs=self.jobs,
-                cache_dir=(
-                    self.cache.cache_dir if self.cache is not None else None
-                ),
-                warm_start=self.warm_start,
-                store=store,
-                engine=engine,
-                batch_size=batch_size,
-            )
         return run_exploration(
             space,
             sampler=sampler,
-            objectives=objectives,
+            objectives=(
+                objectives if objectives is not None else DEFAULT_OBJECTIVES
+            ),
             trials=trials,
             seeds=seeds,
             samples=samples,
@@ -397,7 +374,10 @@ class Experiment:
             warm_start=self.warm_start,
             store=store,
             engine=engine,
-            batch_size=batch_size,
+            batch_size=(
+                batch_size if batch_size is not None else DEFAULT_BATCH_SIZE
+            ),
+            shards=shards,
         )
 
     def _simulate(

@@ -330,10 +330,6 @@ class Scenario:
         except ValueError as exc:
             # get_backend's message already lists the available backends.
             raise ScenarioError(f"scenario {self.name!r}: {exc}") from None
-        time_limit = self.config.time_limit
-        expect(time_limit is None or (_is_real(time_limit) and time_limit > 0),
-               "time_limit", "> 0 seconds (or null for no limit)",
-               time_limit)
         known = set(names)
         for index, pair in enumerate(self.transitions):
             expect(isinstance(pair, (list, tuple)) and len(pair) == 2

@@ -394,7 +394,7 @@ def _load_space_file(path: str, args: argparse.Namespace):
 
 
 def _cmd_scenario_explore(args: argparse.Namespace) -> int:
-    from .dse import explore, explore_sharded, get_sampler
+    from .dse import explore, get_sampler
 
     try:
         space = _load_space_file(args.space, args)
@@ -413,33 +413,19 @@ def _cmd_scenario_explore(args: argparse.Namespace) -> int:
                               seed=args.sampler_seed)
         log = _open_run_log(args)
         try:
-            if args.shards > 1:
-                result = explore_sharded(
-                    space,
-                    shards=args.shards,
-                    sampler=sampler,
-                    objectives=args.objectives,
-                    trials=args.trials,
-                    seeds=args.seeds,
-                    jobs=args.jobs,
-                    cache_dir=args.cache_dir,
-                    warm_start=not args.no_warm_start,
-                    store=args.store,
-                    engine=args.engine,
-                )
-            else:
-                result = explore(
-                    space,
-                    sampler=sampler,
-                    objectives=args.objectives,
-                    trials=args.trials,
-                    seeds=args.seeds,
-                    jobs=args.jobs,
-                    cache_dir=args.cache_dir,
-                    warm_start=not args.no_warm_start,
-                    store=args.store,
-                    engine=args.engine,
-                )
+            result = explore(
+                space,
+                sampler=sampler,
+                objectives=args.objectives,
+                trials=args.trials,
+                seeds=args.seeds,
+                jobs=args.jobs,
+                cache_dir=args.cache_dir,
+                warm_start=not args.no_warm_start,
+                store=args.store,
+                engine=args.engine,
+                shards=args.shards,
+            )
         finally:
             _close_run_log(log)
     except ValueError as exc:  # Space/Sampler/Objective/Exploration errors
@@ -525,7 +511,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             cache_entries=args.cache_entries,
             cache_bytes=args.cache_bytes,
             max_queued=args.max_queued,
-            max_inflight=args.max_inflight,
             max_trials=args.max_trials,
             trial_batch=args.trial_batch,
             engine=args.engine,
@@ -1023,9 +1008,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--max-queued", type=_positive_int, default=64,
                        help="admission: executions allowed to wait before "
                             "submissions get HTTP 429 (default %(default)s)")
-    serve.add_argument("--max-inflight", type=_positive_int, default=None,
-                       help="executions running at once (default: "
-                            "--workers)")
     serve.add_argument("--max-trials", type=_positive_int, default=100_000,
                        help="admission: per-job trial budget; bigger "
                             "requests get HTTP 429 (default %(default)s)")

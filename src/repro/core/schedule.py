@@ -8,7 +8,9 @@ the configuration they were synthesized for.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from numbers import Integral, Real
 from typing import Dict, List, Optional, Tuple
 
 
@@ -42,12 +44,35 @@ class SchedulingConfig:
     minimize_latency: bool = True
 
     def __post_init__(self) -> None:
-        if self.round_length <= 0:
-            raise ValueError("round_length must be > 0")
-        if self.slots_per_round < 1:
-            raise ValueError("slots_per_round must be >= 1")
-        if self.max_round_gap is not None and self.max_round_gap < self.round_length:
-            raise ValueError("max_round_gap must be >= round_length")
+        """Check every field; the ``ValueError`` names the one at fault."""
+
+        def check(name: str, ok: bool, what: str) -> None:
+            if not ok:
+                raise ValueError(
+                    f"{name} must be {what}, got {getattr(self, name)!r}"
+                )
+
+        def real(value) -> bool:
+            return isinstance(value, Real) and not isinstance(value, bool)
+
+        tr, slots = self.round_length, self.slots_per_round
+        gap = self.max_round_gap
+        check("round_length", real(tr) and 0 < tr < math.inf,
+              "a finite number > 0")
+        check("slots_per_round", isinstance(slots, Integral)
+              and not isinstance(slots, bool) and slots >= 1,
+              "an integer >= 1")
+        check("max_round_gap", gap is None or (real(gap) and gap >= tr),
+              "a number >= round_length (or None)")
+        check("mm", real(self.mm) and self.mm > 0, "a number > 0")
+        check("big_m", self.big_m is None
+              or (real(self.big_m) and self.big_m > 0),
+              "a number > 0 (or None)")
+        check("time_limit", self.time_limit is None
+              or (real(self.time_limit) and self.time_limit > 0),
+              "> 0 seconds (or None for no limit)")
+        check("minimize_latency", isinstance(self.minimize_latency, bool),
+              "a bool")
 
 
 @dataclass

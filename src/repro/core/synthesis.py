@@ -126,7 +126,6 @@ def solve_fixed_rounds(
 def synthesize(
     mode: Mode,
     config: Optional[SchedulingConfig] = None,
-    min_rounds: int = 0,
     warm_start: bool = False,
     backend: Optional[str] = None,
 ) -> ModeSchedule:
@@ -136,9 +135,7 @@ def synthesize(
         mode: The mode to schedule (validated internally).
         config: Scheduling parameters; defaults to
             :class:`SchedulingConfig` defaults.
-        min_rounds: Start the search at this round count (useful for
-            warm restarts; 0 reproduces the paper exactly).
-        warm_start: Additionally start at the demand lower bound
+        warm_start: Start at the demand lower bound
             (:func:`demand_round_bound`: slots per round, and one round
             per message hop of every chain instance, eq. 13) — an
             optimization over the paper's Algorithm 1 that preserves
@@ -160,8 +157,7 @@ def synthesize(
     if backend is not None and backend != config.backend:
         config = dataclasses.replace(config, backend=backend)
     mode.validate()
-    if warm_start:
-        min_rounds = max(min_rounds, demand_round_bound(mode, config))
+    min_rounds = demand_round_bound(mode, config) if warm_start else 0
     stats = SynthesisStats(mode_name=mode.name)
     r_max = max_rounds(mode, config)
     started = time.monotonic()

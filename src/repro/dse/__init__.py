@@ -21,11 +21,10 @@ first-class, resumable workflow:
   content hash, making every exploration incremental and resumable;
 * :func:`explore` — the driver; also reachable as
   ``Experiment.explore()`` and ``python -m repro.cli scenario
-  explore``;
-* :func:`explore_sharded` — the same exploration fanned out over a
-  work-stealing pool of shard processes, each appending to its own
-  partitioned store segment (``--shards`` on the CLI); segments merge
-  with :func:`merge_stores` / ``repro store merge``.
+  explore``.  ``explore(..., shards=N)`` fans candidate evaluation out
+  over a work-stealing pool of ``N`` shard processes, each appending to
+  its own partitioned store segment (``--shards`` on the CLI);
+  segments merge with :func:`merge_stores` / ``repro store merge``.
 
 Quickstart::
 
@@ -41,14 +40,12 @@ Quickstart::
     print(result.front_table())
 """
 
-from .distributed import explore_sharded
 from .explore import (
     DEFAULT_BATCH_SIZE,
     CandidateResult,
     ExplorationError,
     ExplorationResult,
     explore,
-    explore_scenario,
 )
 from .objectives import (
     DEFAULT_OBJECTIVES,
@@ -136,8 +133,6 @@ __all__ = [
     "dominates",
     "expected_improvement",
     "explore",
-    "explore_scenario",
-    "explore_sharded",
     "get_objective",
     "get_sampler",
     "merge_stores",

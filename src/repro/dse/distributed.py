@@ -1,24 +1,26 @@
 """Sharded exploration: a work-stealing pool of evaluation processes.
 
-:func:`explore` runs one process; on a multi-core box the design-space
-study is embarrassingly parallel across *candidates*, so this module
-partitions sampler batches over ``N`` shard processes:
+``explore(space, ..., shards=N)`` with ``N > 1`` evaluates candidates
+over ``N`` shard processes instead of in the calling process; the
+design-space study is embarrassingly parallel across *candidates*:
 
-* the parent selects candidates (any sampler, including the iterative
-  surrogate, whose propose/measure rounds it drives), filters the ones
-  the main store already holds, and publishes the rest as **candidate
-  blocks** in a shared SQLite **claim table** (dict-record task state
-  in the dask-scheduler style, like ``repro.serve.jobs``);
+* the parent drives the sampler as usual (any sampler, including the
+  iterative surrogate, whose propose/measure rounds it drives), filters
+  the candidates the main store already holds, and publishes the rest
+  as **candidate blocks** in a shared SQLite **claim table**
+  (dict-record task state in the dask-scheduler style, like
+  ``repro.serve.jobs``);
 * each shard process claims blocks — preferring the ones hinted at it,
   then **stealing** anyone else's unclaimed blocks, so stragglers
-  never idle — and evaluates them through the ordinary
-  ``synthesize_scenarios`` -> ``run_campaigns`` path over one
-  :class:`~repro.engine.trials.TrialPool` held for the shard's
-  lifetime, whose workers cache built trial contexts across blocks;
+  never idle — and evaluates them with the exploration's own
+  :class:`~repro.dse.explore.BatchEvaluator`, which holds one
+  :class:`~repro.engine.trials.TrialPool` for the shard's lifetime, so
+  its workers cache built trial contexts across blocks;
 * every shard appends to its own **partitioned store segment**
   (``store.part-<shard>``, same backend as the main store), so shard
   writes never contend; the parent merges segments into the main store
-  (newest ``written_at`` wins) at every round barrier;
+  (newest ``written_at`` wins) at every round barrier and reads the
+  evaluations back from it;
 * the parent watches shard liveness: a shard that dies (crash,
   SIGKILL) has its claimed blocks reset to ``todo`` for survivors to
   steal, and a replacement shard is spawned if none survive — the
@@ -30,9 +32,8 @@ records live in the segments/main store.  Kill anything — a shard, or
 the whole exploration — and ``repro store merge`` + a re-run resumes
 from the main store with **zero** re-executed campaigns.
 
-Objectives must be registry-resolvable **names** (shards re-resolve
-them in their own process) and axis values JSON-representable (blocks
-travel as JSON; a persistent store requires this anyway).
+Axis values must be JSON-representable: blocks travel as JSON, and a
+persistent store requires this anyway.
 """
 
 from __future__ import annotations
@@ -44,9 +45,9 @@ import signal
 import sqlite3
 import time
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..mc.campaign import _resolve_seeds
+from ..engine.cache import ScheduleCache
 from ..obs.events import (
     RunLog,
     emit,
@@ -55,24 +56,20 @@ from ..obs.events import (
     set_run_log,
 )
 from .explore import (
-    DEFAULT_BATCH_SIZE,
-    CandidateResult,
+    BatchEvaluator,
     ExplorationError,
-    ExplorationResult,
-    _candidate_key,
+    _Candidate,
     _evaluation_from_record,
-    _measured_vector,
-    _score_result,
-    explore,
+    _prepare,
 )
-from .objectives import DEFAULT_OBJECTIVES, Objective, resolve_objectives
-from .samplers import Sampler, get_sampler
+from .objectives import Evaluation
 from .space import Space
 from .store import ResultStore, merge_stores, open_store, part_path
 
-#: Environment knob for tests/CI: a shard whose id matches this value
-#: SIGKILLs itself after evaluating (but before releasing) its first
-#: block — the reproducible "shard died mid-run" scenario.
+#: Environment knob for tests/CI: a shard whose id is in this
+#: comma-separated list SIGKILLs itself after evaluating (but before
+#: releasing) its first block — the reproducible "shard died mid-run"
+#: scenario (listing every shard id: "all shards died").
 KILL_SHARD_ENV = "REPRO_DSE_KILL_SHARD"
 
 #: How long claim-table writers wait on a competing lock (ms).
@@ -205,18 +202,6 @@ def reset_dead_claims(conn: sqlite3.Connection, owner: int) -> int:
 # -- shard worker -------------------------------------------------------------
 
 
-class _BlockSampler(Sampler):
-    """A fixed assignment list — how shards feed blocks to explore()."""
-
-    name = "block"
-
-    def __init__(self, assignments: Sequence[Dict[str, object]]) -> None:
-        self.assignments = [dict(a) for a in assignments]
-
-    def select(self, space, objectives):
-        return [dict(a) for a in self.assignments]
-
-
 def _stop_shard(signum, frame) -> None:
     """Ctrl-C or the parent's SIGTERM: stop once, as on Ctrl-C.
 
@@ -232,16 +217,19 @@ def _stop_shard(signum, frame) -> None:
 
 def _shard_main(shard: int, config: dict) -> None:
     """Shard process entry point: claim, evaluate, release, repeat."""
-    from ..engine.trials import TrialPool
-    from ..runtime.trial import build_context, execute_trial_task
-
     signal.signal(signal.SIGINT, _stop_shard)
     signal.signal(signal.SIGTERM, _stop_shard)
     space = Space.from_dict(config["space"])
-    kill_self = os.environ.get(KILL_SHARD_ENV) == str(shard)
+    kill_self = str(shard) in os.environ.get(KILL_SHARD_ENV, "").split(",")
     conn = _connect(config["claims"])
     part = open_store(part_path(config["store"], shard))
-    pool = TrialPool(build_context, execute_trial_task, jobs=config["jobs"])
+    trials, seeds = config["trials"], config["seeds"]
+    evaluator = BatchEvaluator(
+        part, trials, seeds, config["jobs"],
+        ScheduleCache(config["cache_dir"]) if config["cache_dir"] else None,
+        config["warm_start"], config["engine"], config["batch_size"],
+        shard=shard,
+    )
     # Each shard logs to its own segment file (never the parent's log):
     # segment appends are flushed per event, so even a SIGKILLed shard
     # leaves a readable record of the blocks it claimed.
@@ -253,60 +241,46 @@ def _shard_main(shard: int, config: dict) -> None:
         set_run_log(log)
         emit("shard.start", shard=shard, pid=os.getpid())
     try:
-        while True:
-            claimed = claim_block(conn, shard)
-            if claimed is None:
-                return
-            block_id, assignments = claimed
-            if log is not None:
-                hint = conn.execute(
-                    "SELECT shard_hint FROM blocks WHERE id = ?",
-                    (block_id,),
-                ).fetchone()[0]
-                emit(
-                    "shard.claim", shard=shard, block=block_id,
-                    candidates=len(assignments), stolen=hint != shard,
-                )
-            try:
-                result = explore(
-                    space,
-                    sampler=_BlockSampler(assignments),
-                    objectives=config["objectives"],
-                    trials=config["trials"],
-                    seeds=config["seeds"],
-                    jobs=config["jobs"],
-                    cache_dir=config["cache_dir"],
-                    warm_start=config["warm_start"],
-                    store=part,
-                    engine=config["engine"],
-                    batch_size=config["batch_size"],
-                    pool=pool,
-                    shard=shard,
-                )
-            except Exception as exc:
-                emit(
-                    "shard.error", shard=shard, block=block_id,
-                    error=f"{type(exc).__name__}: {exc}",
-                )
-                release_block(
-                    conn, block_id, "error",
-                    error=f"{type(exc).__name__}: {exc}",
-                )
-                raise
-            if kill_self:
-                # Records are durably in the part segment, but the
-                # block is still 'claimed': the parent must notice the
-                # death, requeue it, and a survivor must steal it.
-                os.kill(os.getpid(), signal.SIGKILL)
-            emit(
-                "shard.block", shard=shard, block=block_id,
-                executed=result.executed,
-            )
-            release_block(conn, block_id, "done", executed=result.executed)
+        with evaluator:
+            while True:
+                claimed = claim_block(conn, shard)
+                if claimed is None:
+                    return
+                block_id, assignments = claimed
+                if log is not None:
+                    hint = conn.execute(
+                        "SELECT shard_hint FROM blocks WHERE id = ?",
+                        (block_id,),
+                    ).fetchone()[0]
+                    emit(
+                        "shard.claim", shard=shard, block=block_id,
+                        candidates=len(assignments), stolen=hint != shard,
+                    )
+                try:
+                    # The parent checked the objectives' requirements
+                    # before publishing the block.
+                    _, executed = evaluator.evaluate([
+                        _prepare(space, assignment, (), trials, seeds, part)
+                        for assignment in assignments
+                    ])
+                except Exception as exc:
+                    error = f"{type(exc).__name__}: {exc}"
+                    emit("shard.error", shard=shard, block=block_id,
+                         error=error)
+                    release_block(conn, block_id, "error", error=error)
+                    raise
+                if kill_self:
+                    # Records are durably in the part segment, but the
+                    # block is still 'claimed': the parent must notice
+                    # the death, requeue it, and a survivor must steal
+                    # it.
+                    os.kill(os.getpid(), signal.SIGKILL)
+                emit("shard.block", shard=shard, block=block_id,
+                     executed=executed)
+                release_block(conn, block_id, "done", executed=executed)
     except KeyboardInterrupt:
         pass  # stopped: what the shard finished is in its segment
     finally:
-        pool.close()
         part.close()
         conn.close()
         if log is not None:
@@ -404,217 +378,123 @@ def _drive_round(
     return executed, next_shard
 
 
-def explore_sharded(
-    space: Space,
-    shards: int = 2,
-    sampler: "Union[str, Sampler]" = "grid",
-    objectives: "Sequence[str | Objective]" = DEFAULT_OBJECTIVES,
-    trials: Optional[int] = None,
-    seeds: Optional[Sequence[int]] = None,
-    samples: Optional[int] = None,
-    jobs: int = 1,
-    cache_dir: "Optional[str | Path]" = None,
-    warm_start: bool = True,
-    store: "Union[ResultStore, str, Path, None]" = None,
-    engine: str = "fast",
-    batch_size: int = DEFAULT_BATCH_SIZE,
-) -> ExplorationResult:
-    """Explore a design space over a pool of shard processes.
+class ShardedEvaluator:
+    """What :func:`~repro.dse.explore.explore` evaluates fresh
+    candidates with when ``shards > 1``.
 
-    The drop-in distributed sibling of :func:`repro.dse.explore`:
-    same samplers (iterative ones are driven in rounds), same stores,
-    same scoring — but candidate evaluation fans out over ``shards``
-    worker processes with work stealing (see the module docstring for
-    the mechanics).  Requires a **persistent** store: the segments,
-    the claim table, and crash recovery all hang off its path.
-
-    Args:
-        space: The parameter space (base scenario + axes); axis values
-            must be JSON-representable.
-        shards: Shard processes to run (>= 1).
-        sampler: Selection strategy (name or instance).
-        objectives: Objective *names* (or registered instances) —
-            shards re-resolve them from the registry by name.
-        trials/seeds/samples/warm_start: As in :func:`explore`.
-        jobs: Worker processes *per shard* (synthesis + trials).
-        cache_dir: Persistent schedule-cache directory shared by all
-            shards.
-        store: Path of the main result store (or an open persistent
-            store).  Leftover ``.part-<n>`` segments from a previous
-            crashed run are merged in before anything executes.
-        engine: Trial engine, as in :func:`explore`.
-        batch_size: Candidates per claim block — the work-stealing
-            granularity *and* the durability unit.
-
-    Returns:
-        An :class:`ExplorationResult` scored exactly like a
-        single-process exploration; ``result.shards`` records the pool
-        width and every executed record carries its shard id.
+    Each :meth:`evaluate` call is one round: publish the candidates as
+    claim blocks, run shard processes until the round drains, merge
+    their part segments into the main store and read the evaluations
+    back from it.  The main ``store`` must be persistent: segments, the
+    claim table and crash recovery hang off its path, and leftover
+    segments of a crashed run are merged in before anything executes.
+    ``batch_size`` is the claim-block size — the work-stealing
+    granularity and the durability unit; the other arguments are
+    :func:`~repro.dse.explore.explore`'s.  Leaving the ``with`` block
+    deletes the claim table and folds the shards' run-log segments
+    into the parent's log.
     """
-    if not isinstance(shards, int) or isinstance(shards, bool) or shards < 1:
-        raise ExplorationError(
-            f"shards must be an integer >= 1, got {shards!r}"
-        )
-    objectives = resolve_objectives(objectives)
-    if isinstance(sampler, str):
-        sampler = get_sampler(sampler, samples=samples)
-    if not isinstance(batch_size, int) or isinstance(batch_size, bool) \
-            or batch_size < 1:
-        raise ExplorationError(
-            f"batch_size must be an integer >= 1, got {batch_size!r}"
-        )
-    if space.base.simulation is None:
-        raise ExplorationError(
-            "exploration evaluates candidates through Monte-Carlo "
-            "campaigns; give the base scenario a SimulationSpec"
-        )
 
-    own_store = not isinstance(store, ResultStore)
-    main = store if isinstance(store, ResultStore) else open_store(store)
-    if main.path is None:
-        if own_store:
-            main.close()
-        raise ExplorationError(
-            "distributed exploration needs a persistent store (a path); "
-            "segments and the claim table are derived from it"
-        )
-    store_path = Path(main.path)
-
-    # Shards inherit the parent's run log (when one is active) as
-    # per-shard segment files, merged back at every round barrier —
-    # the exact protocol the store segments use.
-    parent_log = get_run_log()
-    config = {
-        "space": space.to_dict(),
-        "objectives": [obj.name for obj in objectives],
-        "trials": trials,
-        "seeds": list(seeds) if seeds is not None else None,
-        "jobs": jobs,
-        "cache_dir": str(cache_dir) if cache_dir is not None else None,
-        "warm_start": warm_start,
-        "store": str(store_path),
-        "claims": str(claims_path(store_path)),
-        "engine": engine,
-        "batch_size": batch_size,
-        "log_dir": str(parent_log.log_dir) if parent_log else None,
-        "run_id": parent_log.run_id if parent_log else None,
-    }
-
-    def merge_shard_logs() -> None:
-        if parent_log is not None:
-            merge_run_log(parent_log.path, delete_parts=True)
-
-    result = ExplorationResult(
-        objectives=objectives,
-        sampler=sampler.name,
-        space_size=space.size,
-        store_path=str(store_path),
-        shards=shards,
-    )
-    started = time.perf_counter()
-    conn = create_claims(config["claims"])
-    next_shard = 0
-    round_index = 0
-    try:
+    def __init__(
+        self,
+        space: Space,
+        store: ResultStore,
+        shards: int,
+        trials: Optional[int],
+        seeds: Optional[Sequence[int]],
+        jobs: int,
+        cache: Optional[ScheduleCache],
+        warm_start: bool,
+        engine: str,
+        batch_size: int,
+    ) -> None:
+        if store.path is None:
+            raise ExplorationError(
+                "distributed exploration needs a persistent store (a "
+                "path); segments and the claim table are derived from it"
+            )
+        self.store = store
+        self.shards = shards
+        self.batch_size = batch_size
+        # Shards inherit the parent's run log (when one is active) as
+        # per-shard segment files, merged back at every round barrier —
+        # the exact protocol the store segments use.
+        self.log = get_run_log()
+        self.config = {
+            "space": space.to_dict(),
+            "trials": trials,
+            "seeds": list(seeds) if seeds is not None else None,
+            "jobs": jobs,
+            "cache_dir": str(cache.cache_dir) if cache is not None else None,
+            "warm_start": warm_start,
+            "store": str(store.path),
+            "claims": str(claims_path(store.path)),
+            "engine": engine,
+            "batch_size": batch_size,
+            "log_dir": str(self.log.log_dir) if self.log else None,
+            "run_id": self.log.run_id if self.log else None,
+        }
+        self.round = 0
+        self.next_shard = 0
         # Recover whatever a previously killed run's shards persisted.
-        merge_stores(main, delete_parts=True)
+        merge_stores(store, delete_parts=True)
+        self.conn = create_claims(self.config["claims"])
 
-        def run_round(selected) -> List[CandidateResult]:
-            nonlocal next_shard, round_index
-            keyed: List[Tuple[str, object, Dict[str, object]]] = []
-            fresh: List[Dict[str, object]] = []
-            fresh_keys = set()
-            for assignment in selected:
-                scenario = space.candidate(assignment)
-                if scenario.simulation is None:
-                    raise ExplorationError(
-                        f"candidate {scenario.name!r} has no SimulationSpec; "
-                        f"exploration evaluates through Monte-Carlo campaigns"
-                    )
-                for objective in objectives:
-                    if objective.requires is not None:
-                        objective.requires(scenario)
-                try:
-                    seed_list = _resolve_seeds(scenario, trials, seeds)
-                except ValueError as exc:
-                    raise ExplorationError(str(exc)) from None
-                key = _candidate_key(main, scenario, assignment, seed_list)
-                keyed.append((key, scenario, dict(assignment)))
-                if main.get(key) is None:
-                    fresh.append(dict(assignment))
-                    fresh_keys.add(key)
-                else:
-                    result.reused += 1
-            if fresh:
-                blocks = publish_blocks(
-                    conn, round_index, fresh, batch_size, shards
-                )
-                assert blocks > 0
-                emit(
-                    "dse.publish", round=round_index, blocks=blocks,
-                    candidates=len(fresh), shards=shards,
-                )
-                executed, next_shard = _drive_round(
-                    conn, round_index, config, shards, next_shard
-                )
-                result.executed += executed
-                round_index += 1
-                # Segments write through the open main store, so the
-                # merged records are immediately visible below.
-                report = merge_stores(main, delete_parts=True)
-                merge_shard_logs()
-                emit(
-                    "dse.merge", round=round_index - 1, executed=executed,
-                    segments=len(report.parts),
-                    merged=report.merged, updated=report.updated,
-                )
-            round_results: List[CandidateResult] = []
-            for key, scenario, assignment in keyed:
-                record = main.get(key)
-                if record is None:
-                    raise ExplorationError(
-                        f"candidate {scenario.name!r} has no record after "
-                        f"its round completed (store {store_path})"
-                    )
-                evaluation = _evaluation_from_record(
-                    record, scenario, assignment
-                )
-                # Records the shards just produced are executions of
-                # *this* call, not store reuse.
-                evaluation.cached = key not in fresh_keys
-                round_results.append(CandidateResult(
-                    assignment=assignment,
-                    name=scenario.name,
-                    key=key,
-                    evaluation=evaluation,
-                ))
-            return round_results
+    def __enter__(self) -> "ShardedEvaluator":
+        return self
 
-        if getattr(sampler, "iterative", False):
-            measured: List[dict] = []
-            while True:
-                proposals = sampler.propose(space, objectives, measured)
-                if not proposals:
-                    break
-                round_results = run_round(proposals)
-                result.candidates.extend(round_results)
-                for candidate in round_results:
-                    measured.append({
-                        "assignment": dict(candidate.assignment),
-                        "vector": _measured_vector(candidate, objectives),
-                    })
-        else:
-            result.candidates = run_round(sampler.select(space, objectives))
-    finally:
-        result.elapsed = time.perf_counter() - started
-        conn.close()
+    def __exit__(self, exc_type, exc, traceback) -> None:
+        self.conn.close()
         for side in ("", "-wal", "-shm"):
-            Path(config["claims"] + side).unlink(missing_ok=True)
-        if own_store:
-            main.close()
+            Path(self.config["claims"] + side).unlink(missing_ok=True)
         # A round that died mid-flight (ExplorationError, ^C) may have
         # left shard log segments behind; fold them in regardless.
-        merge_shard_logs()
+        self._merge_logs()
 
-    _score_result(result)
-    return result
+    def _merge_logs(self) -> None:
+        if self.log is not None:
+            merge_run_log(self.log.path, delete_parts=True)
+
+    def evaluate(
+        self, fresh: Sequence[_Candidate]
+    ) -> Tuple[List[Evaluation], int]:
+        """Evaluate ``fresh`` over the shards; returns one Evaluation per
+        candidate and the campaigns the shards report."""
+        blocks = publish_blocks(
+            self.conn, self.round,
+            [candidate.assignment for candidate in fresh],
+            self.batch_size, self.shards,
+        )
+        emit(
+            "dse.publish", round=self.round, blocks=blocks,
+            candidates=len(fresh), shards=self.shards,
+        )
+        executed, self.next_shard = _drive_round(
+            self.conn, self.round, self.config, self.shards, self.next_shard
+        )
+        # Segments write through the open main store, so the merged
+        # records are immediately visible below.
+        report = merge_stores(self.store, delete_parts=True)
+        self._merge_logs()
+        emit(
+            "dse.merge", round=self.round, executed=executed,
+            segments=len(report.parts),
+            merged=report.merged, updated=report.updated,
+        )
+        self.round += 1
+        evaluations = []
+        for candidate in fresh:
+            record = self.store.get(candidate.key)
+            if record is None:
+                raise ExplorationError(
+                    f"candidate {candidate.scenario.name!r} has no record "
+                    f"after its round completed (store {self.store.path})"
+                )
+            evaluation = _evaluation_from_record(
+                record, candidate.scenario, candidate.assignment
+            )
+            # Records the shards just produced are executions of *this*
+            # call, not store reuse.
+            evaluation.cached = False
+            evaluations.append(evaluation)
+        return evaluations, executed

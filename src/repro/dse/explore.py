@@ -4,10 +4,14 @@
 assignments; each candidate is materialized, content-hashed, and looked
 up in the result store; only unseen candidates are evaluated — in
 batches, through the existing ``synthesize_scenarios`` ->
-``run_campaigns`` pipeline, over one shared solver pool and schedule
-cache, with the compiled fast engine by default.  Every finished batch
-is persisted before the next starts, so a killed exploration loses at
-most one batch and a re-run executes zero already-completed campaigns.
+``run_campaigns`` pipeline, over one schedule cache and one trial pool
+held for the whole exploration, with the compiled fast engine by
+default.  Every finished batch is persisted before the next starts, so
+a killed exploration loses at most one batch and a re-run executes
+zero already-completed campaigns.  With ``shards > 1`` the fresh
+candidates go to a work-stealing pool of shard processes instead
+(:mod:`repro.dse.distributed`), each of which runs the blocks it claims
+through the same :class:`BatchEvaluator`.
 
 The measured objective vectors then go through the exact Pareto
 machinery: per-candidate dominance rank, the front, and table/series
@@ -31,9 +35,11 @@ from ..api.scenario import Scenario
 from ..core.synthesis import InfeasibleError
 from ..engine.api import EngineStats
 from ..engine.cache import ScheduleCache
+from ..engine.trials import TrialPool
 from ..mc.campaign import _resolve_seeds, run_campaigns
 from ..mc.stats import CampaignStats
 from ..obs.events import emit
+from ..runtime.trial import build_context, execute_trial_task
 from .objectives import (
     DEFAULT_OBJECTIVES,
     Evaluation,
@@ -285,95 +291,167 @@ def _failure_text(reports: Dict[str, object]) -> str:
     return "; ".join(lines) or "verification failed"
 
 
-def _evaluate_batch(
-    batch: "List[Tuple[Scenario, Dict[str, object], List[Optional[int]]]]",
+@dataclass
+class _Candidate:
+    """One selected assignment, materialized and keyed for the store."""
+
+    assignment: Dict[str, object]
+    scenario: Scenario
+    seeds: List[Optional[int]]
+    key: str
+
+
+def _prepare(
+    space: Space,
+    assignment: Dict[str, object],
+    objectives: Sequence[Objective],
     trials: Optional[int],
     seeds: Optional[Sequence[int]],
-    jobs: int,
-    cache: Optional[ScheduleCache],
-    warm_start: bool,
-    stats: EngineStats,
-    engine: str,
-    pool=None,
-    shard: Optional[int] = None,
-) -> List[Evaluation]:
-    """Evaluate one batch of candidates; one Evaluation per input.
-
-    A batch-wide :class:`InfeasibleError` triggers per-candidate
-    re-evaluation so only the genuinely infeasible candidates fail.
-    ``pool`` (a :class:`~repro.engine.trials.TrialPool`) lets a
-    long-lived caller — the exploration shards — reuse one executor
-    and its worker-side context caches across many batches; ``shard``
-    labels the produced evaluations for provenance.
-    """
-    started = time.perf_counter()
-    scenarios = [scenario for scenario, _, _ in batch]
-    try:
-        outcome = run_campaigns(
-            scenarios,
-            trials=trials,
-            seeds=seeds,
-            jobs=jobs,
-            cache=cache,
-            warm_start=warm_start,
-            stats=stats,
-            engine=engine,
-            pool=pool,
+    store: ResultStore,
+) -> _Candidate:
+    """Materialize one assignment, failing fast *before* any synthesis
+    or MC budget is spent on it."""
+    scenario = space.candidate(assignment)
+    if scenario.simulation is None:
+        # An axis may null the simulation out (whole-field
+        # replacement); catch it per candidate, cleanly.
+        raise ExplorationError(
+            f"candidate {scenario.name!r} has no SimulationSpec; "
+            f"exploration evaluates through Monte-Carlo campaigns"
         )
-    except InfeasibleError as exc:
-        if len(batch) == 1:
-            scenario, assignment, seed_list = batch[0]
-            return [Evaluation(
-                scenario=scenario,
-                assignment=dict(assignment),
-                seeds=tuple(seed_list),
-                elapsed=time.perf_counter() - started,
-                error=f"infeasible: {exc}",
-                campaigns=0,
-                shard=shard,
-            )]
+    # Predictable scoring problems, e.g. an energy objective without a
+    # radio spec.
+    for objective in objectives:
+        if objective.requires is not None:
+            objective.requires(scenario)
+    try:
+        seed_list = _resolve_seeds(scenario, trials, seeds)
+    except ValueError as exc:
+        raise ExplorationError(str(exc)) from None
+    key = _candidate_key(store, scenario, assignment, seed_list)
+    return _Candidate(dict(assignment), scenario, seed_list, key)
+
+
+@dataclass
+class BatchEvaluator:
+    """Evaluates fresh candidates in batches and stores every result.
+
+    A single-process exploration holds one over its result store for
+    the whole run; each shard process holds one over its part segment.
+    Either way one :class:`~repro.engine.trials.TrialPool` serves every
+    batch, so its workers keep the trial contexts they built.  Every
+    batch is persisted before the next starts — the durability unit.
+    Use it as a context manager: leaving the block closes the pool.
+
+    Attributes:
+        store: Where each evaluation is recorded.
+        trials/seeds/jobs/cache/warm_start/engine: As in
+            :func:`explore`.
+        batch_size: Candidates per ``run_campaigns`` call.
+        stats: Engine counters updated in place.
+        shard: Provenance label written into every record (``None``
+            outside a shard process).
+    """
+
+    store: ResultStore
+    trials: Optional[int]
+    seeds: Optional[Sequence[int]]
+    jobs: int
+    cache: Optional[ScheduleCache]
+    warm_start: bool
+    engine: str
+    batch_size: int
+    stats: EngineStats = field(default_factory=EngineStats)
+    shard: Optional[int] = None
+
+    def __post_init__(self) -> None:
+        self.pool = TrialPool(build_context, execute_trial_task, self.jobs)
+
+    def __enter__(self) -> "BatchEvaluator":
+        return self
+
+    def __exit__(self, exc_type, exc, traceback) -> None:
+        self.pool.__exit__(exc_type, exc, traceback)
+
+    def evaluate(
+        self, fresh: Sequence[_Candidate]
+    ) -> Tuple[List[Evaluation], int]:
+        """Evaluate and store ``fresh``; returns one Evaluation per
+        candidate and the number of campaigns run."""
         evaluations: List[Evaluation] = []
-        for item in batch:
-            evaluations.extend(_evaluate_batch(
-                [item], trials, seeds, jobs, cache, warm_start, stats,
-                engine, pool, shard,
+        for start in range(0, len(fresh), self.batch_size):
+            batch = fresh[start:start + self.batch_size]
+            evaluated = self._campaigns(batch)
+            failed = sum(1 for e in evaluated if e.error is not None)
+            emit("dse.batch", candidates=len(batch), failed=failed,
+                 shard=self.shard)
+            for candidate, evaluation in zip(batch, evaluated):
+                self.store.put(candidate.key, _record_of(evaluation))
+            evaluations.extend(evaluated)
+        return evaluations, len(evaluations)
+
+    def _campaigns(self, batch: Sequence[_Candidate]) -> List[Evaluation]:
+        """One ``run_campaigns`` call over a batch.
+
+        A batch-wide :class:`InfeasibleError` triggers per-candidate
+        re-evaluation so only the genuinely infeasible candidates fail.
+        """
+        started = time.perf_counter()
+        try:
+            outcome = run_campaigns(
+                [candidate.scenario for candidate in batch],
+                trials=self.trials,
+                seeds=self.seeds,
+                jobs=self.jobs,
+                cache=self.cache,
+                warm_start=self.warm_start,
+                stats=self.stats,
+                engine=self.engine,
+                pool=self.pool,
+            )
+        except InfeasibleError as exc:
+            if len(batch) > 1:
+                return [
+                    evaluation for candidate in batch
+                    for evaluation in self._campaigns([candidate])
+                ]
+            return [self._evaluation(
+                batch[0], time.perf_counter() - started,
+                error=f"infeasible: {exc}",
+            )]
+
+        per_candidate = (time.perf_counter() - started) / len(batch)
+        by_scenario = {point.scenario: point for point in outcome.points}
+        evaluations = []
+        for candidate in batch:
+            name = candidate.scenario.name
+            schedules = outcome.schedules.get(name, {}).values()
+            point = by_scenario.get(name)
+            evaluations.append(self._evaluation(
+                candidate,
+                per_candidate,
+                stats=point.stats if point is not None else None,
+                total_latency=sum(s.total_latency for s in schedules),
+                rounds=sum(s.num_rounds for s in schedules),
+                error=(
+                    _failure_text(outcome.reports.get(name, {}))
+                    if point is None else None
+                ),
             ))
         return evaluations
 
-    elapsed = time.perf_counter() - started
-    per_candidate = elapsed / len(batch)
-    by_scenario = {point.scenario: point for point in outcome.points}
-    evaluations = []
-    for scenario, assignment, seed_list in batch:
-        schedules = outcome.schedules.get(scenario.name, {})
-        total_latency = sum(s.total_latency for s in schedules.values())
-        rounds = sum(s.num_rounds for s in schedules.values())
-        point = by_scenario.get(scenario.name)
-        if point is None:
-            evaluations.append(Evaluation(
-                scenario=scenario,
-                assignment=dict(assignment),
-                total_latency=total_latency,
-                rounds=rounds,
-                seeds=tuple(seed_list),
-                elapsed=per_candidate,
-                error=_failure_text(outcome.reports.get(scenario.name, {})),
-                campaigns=0,
-                shard=shard,
-            ))
-            continue
-        evaluations.append(Evaluation(
-            scenario=scenario,
-            assignment=dict(assignment),
-            stats=point.stats,
-            total_latency=total_latency,
-            rounds=rounds,
-            seeds=tuple(seed_list),
-            elapsed=per_candidate,
-            campaigns=1,
-            shard=shard,
-        ))
-    return evaluations
+    def _evaluation(
+        self, candidate: _Candidate, elapsed: float, **fields
+    ) -> Evaluation:
+        return Evaluation(
+            scenario=candidate.scenario,
+            assignment=dict(candidate.assignment),
+            seeds=tuple(candidate.seeds),
+            elapsed=elapsed,
+            campaigns=0 if fields.get("error") is not None else 1,
+            shard=self.shard,
+            **fields,
+        )
 
 
 def _measured_vector(
@@ -393,6 +471,13 @@ def _measured_vector(
         return None
 
 
+def _check_count(name: str, value) -> None:
+    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+        raise ExplorationError(
+            f"{name} must be an integer >= 1, got {value!r}"
+        )
+
+
 def explore(
     space: Space,
     sampler: "Union[str, Sampler]" = "grid",
@@ -407,8 +492,7 @@ def explore(
     store: "Union[ResultStore, str, Path, None]" = None,
     engine: str = "fast",
     batch_size: int = DEFAULT_BATCH_SIZE,
-    pool=None,
-    shard: Optional[int] = None,
+    shards: int = 1,
 ) -> ExplorationResult:
     """Explore a design space and compute its Pareto front.
 
@@ -427,7 +511,8 @@ def explore(
             (common random numbers across the space).
         samples: Candidate budget handed to name-built samplers
             (random/halton draw size, adaptive survivor target).
-        jobs: Worker processes shared by synthesis and trials.
+        jobs: Worker processes shared by synthesis and trials (per
+            shard when ``shards > 1``).
         cache: Schedule cache to share (or ``cache_dir`` to build one).
         cache_dir: Persistent schedule-cache directory.
         warm_start: Seed Algorithm 1 at the demand lower bound.
@@ -437,29 +522,24 @@ def explore(
         engine: Trial engine (``fast``/``reference`` are bit-identical;
             ``vectorized`` batches trials into tensor programs and is
             distribution-equivalent).
-        batch_size: Candidates per evaluation batch — the durability
-            granularity of the store.
-        pool: Optional :class:`~repro.engine.trials.TrialPool` to
-            execute trials on instead of one opened per batch — a
-            long-lived pool whose workers cache built contexts across
-            batches (and across calls); the distributed exploration
-            shards pass one so ``jobs`` only governs synthesis.
-        shard: Provenance label written into every produced store
-            record (the shard id of a distributed exploration;
-            ``None`` for single-process runs).
+        batch_size: Candidates per evaluation batch (per claim block
+            when sharded) — the durability granularity of the store.
+        shards: Processes to evaluate candidates on.  ``1`` evaluates
+            in this process; more fans each selection's fresh
+            candidates out over a work-stealing pool of shard processes
+            (see :mod:`repro.dse.distributed`), which needs a
+            persistent ``store`` and JSON-representable axis values.
+            The shards share ``cache``'s directory.
 
     Returns:
         An :class:`ExplorationResult`; ``result.front`` is the exact
         Pareto front over the measured objective vectors.
     """
+    _check_count("batch_size", batch_size)
+    _check_count("shards", shards)
     objectives = resolve_objectives(objectives)
     if isinstance(sampler, str):
         sampler = get_sampler(sampler, samples=samples)
-    if not isinstance(batch_size, int) or isinstance(batch_size, bool) \
-            or batch_size < 1:
-        raise ExplorationError(
-            f"batch_size must be an integer >= 1, got {batch_size!r}"
-        )
     if space.base.simulation is None:
         raise ExplorationError(
             "exploration evaluates candidates through Monte-Carlo "
@@ -479,118 +559,93 @@ def explore(
         sampler=sampler.name,
         space_size=space.size,
         store_path=str(store.path) if store.path is not None else None,
+        shards=shards,
     )
     started = time.perf_counter()
 
     def run_selection(selected) -> List[CandidateResult]:
-        """Store-check + batched evaluation of one assignment list."""
-        pending: List[Tuple[int, str, Scenario, Dict[str, object], List]] = []
-        slots: List[Optional[CandidateResult]] = []
+        """Store-check one assignment list and evaluate what is new."""
+        prepared: List[Tuple[_Candidate, Optional[Evaluation]]] = []
+        fresh: List[_Candidate] = []
         for assignment in selected:
-            scenario = space.candidate(assignment)
-            if scenario.simulation is None:
-                # An axis may null the simulation out (whole-field
-                # replacement); catch it per candidate, cleanly.
-                raise ExplorationError(
-                    f"candidate {scenario.name!r} has no SimulationSpec; "
-                    f"exploration evaluates through Monte-Carlo campaigns"
-                )
-            # Fail fast on predictable scoring problems (e.g. an energy
-            # objective without a radio spec) *before* any synthesis or
-            # MC budget is spent on this candidate.
-            for objective in objectives:
-                if objective.requires is not None:
-                    objective.requires(scenario)
-            try:
-                seed_list = _resolve_seeds(scenario, trials, seeds)
-            except ValueError as exc:
-                raise ExplorationError(str(exc)) from None
-            key = _candidate_key(store, scenario, assignment, seed_list)
-            record = store.get(key)
-            if record is not None:
-                evaluation = _evaluation_from_record(
-                    record, scenario, assignment
-                )
-                slots.append(CandidateResult(
-                    assignment=dict(assignment),
-                    name=scenario.name,
-                    key=key,
-                    evaluation=evaluation,
-                ))
-                result.reused += 1
-            else:
-                pending.append(
-                    (len(slots), key, scenario, assignment, seed_list)
-                )
-                slots.append(None)
-
-        emit("dse.selection", selected=len(selected),
-             reused=len(selected) - len(pending), fresh=len(pending),
-             shard=shard)
-        for start in range(0, len(pending), batch_size):
-            chunk = pending[start:start + batch_size]
-            evaluations = _evaluate_batch(
-                [(s, a, sl) for _, _, s, a, sl in chunk],
-                trials, seeds, jobs, cache, warm_start, stats, engine,
-                pool, shard,
+            candidate = _prepare(
+                space, assignment, objectives, trials, seeds, store
             )
-            failed = sum(1 for e in evaluations if e.error is not None)
-            emit("dse.batch", candidates=len(chunk), failed=failed,
-                 shard=shard)
-            for (slot, key, scenario, assignment, seed_list), evaluation \
-                    in zip(chunk, evaluations):
-                store.put(key, _record_of(evaluation))
-                slots[slot] = CandidateResult(
-                    assignment=dict(assignment),
-                    name=scenario.name,
-                    key=key,
-                    evaluation=evaluation,
-                )
-                result.executed += 1
-        assert all(slot is not None for slot in slots)
-        return list(slots)
+            record = store.get(candidate.key)
+            if record is None:
+                fresh.append(candidate)
+                prepared.append((candidate, None))
+            else:
+                prepared.append((candidate, _evaluation_from_record(
+                    record, candidate.scenario, assignment
+                )))
+                result.reused += 1
+        emit("dse.selection", selected=len(selected),
+             reused=len(selected) - len(fresh), fresh=len(fresh))
+        evaluations, executed = evaluator.evaluate(fresh) if fresh else ([], 0)
+        result.executed += executed
+        evaluated = iter(evaluations)
+        return [
+            CandidateResult(
+                assignment=dict(candidate.assignment),
+                name=candidate.scenario.name,
+                key=candidate.key,
+                evaluation=(
+                    evaluation if evaluation is not None else next(evaluated)
+                ),
+            )
+            for candidate, evaluation in prepared
+        ]
 
-    candidates: List[CandidateResult] = []
     try:
-        if getattr(sampler, "iterative", False):
-            # Iterative (model-guided) samplers: propose -> measure ->
-            # feed the normalized objective vectors back, until the
-            # sampler stops proposing.
-            measured: List[dict] = []
-            round_index = 0
-            while True:
-                proposals = sampler.propose(space, objectives, measured)
-                if not proposals:
-                    break
-                emit("dse.round", round=round_index,
-                     proposed=len(proposals), shard=shard)
-                round_index += 1
-                round_results = run_selection(proposals)
-                candidates.extend(round_results)
-                for candidate in round_results:
-                    measured.append({
-                        "assignment": dict(candidate.assignment),
-                        "vector": _measured_vector(candidate, objectives),
-                    })
+        if shards > 1:
+            from .distributed import ShardedEvaluator
+
+            evaluator = ShardedEvaluator(
+                space, store, shards, trials, seeds, jobs, cache,
+                warm_start, engine, batch_size,
+            )
         else:
-            candidates = run_selection(sampler.select(space, objectives))
+            evaluator = BatchEvaluator(
+                store, trials, seeds, jobs, cache, warm_start, engine,
+                batch_size, stats,
+            )
+        with evaluator:
+            if getattr(sampler, "iterative", False):
+                # Iterative (model-guided) samplers: propose -> measure
+                # -> feed the normalized objective vectors back, until
+                # the sampler stops proposing.
+                measured: List[dict] = []
+                round_index = 0
+                while True:
+                    proposals = sampler.propose(space, objectives, measured)
+                    if not proposals:
+                        break
+                    emit("dse.round", round=round_index,
+                         proposed=len(proposals))
+                    round_index += 1
+                    round_results = run_selection(proposals)
+                    result.candidates.extend(round_results)
+                    for candidate in round_results:
+                        measured.append({
+                            "assignment": dict(candidate.assignment),
+                            "vector": _measured_vector(candidate, objectives),
+                        })
+            else:
+                result.candidates = run_selection(
+                    sampler.select(space, objectives)
+                )
     finally:
         result.elapsed = time.perf_counter() - started
         if own_store:
             store.close()
 
-    result.candidates = candidates
     _score_result(result)
     return result
 
 
 def _score_result(result: ExplorationResult) -> None:
-    """Score a result in place: measured objective vectors, exact front.
-
-    Shared by :func:`explore` and the distributed driver
-    (:func:`repro.dse.distributed.explore_sharded`), so a sharded
-    exploration ranks candidates exactly like a single-process one.
-    """
+    """Score a result in place: measured objective vectors, exact front."""
     objectives = result.objectives
     healthy: List[CandidateResult] = []
     for candidate in result.candidates:
@@ -612,23 +667,3 @@ def _score_result(result: ExplorationResult) -> None:
         for candidate, rank in zip(healthy, dominance_rank(vectors)):
             candidate.rank = rank
             candidate.on_front = rank == 0
-
-
-def explore_scenario(
-    base: Scenario,
-    axes,
-    **kwargs,
-) -> ExplorationResult:
-    """Convenience: build a :class:`Space` around ``base`` and explore.
-
-    ``axes`` is a list of :class:`~repro.dse.space.Axis` (or
-    ``(name, target, values)`` tuples); keyword arguments pass through
-    to :func:`explore` (plus ``derive=`` for the space).
-    """
-    from .space import Axis
-
-    derive = kwargs.pop("derive", None)
-    built = [
-        axis if isinstance(axis, Axis) else Axis(*axis) for axis in axes
-    ]
-    return explore(Space(base=base, axes=built, derive=derive), **kwargs)

@@ -119,16 +119,21 @@ def config_to_dict(config: SchedulingConfig) -> dict:
 
 
 def config_from_dict(data: dict) -> SchedulingConfig:
-    return SchedulingConfig(
-        round_length=data["round_length"],
-        slots_per_round=data["slots_per_round"],
-        max_round_gap=data.get("max_round_gap"),
-        mm=data.get("mm", 1e-4),
-        big_m=data.get("big_m"),
-        backend=data.get("backend", "highs"),
-        time_limit=data.get("time_limit"),
-        minimize_latency=data.get("minimize_latency", True),
-    )
+    """Raises :class:`SerializationError` naming a field whose value
+    :class:`SchedulingConfig` rejects (``config.<field> must be ...``)."""
+    try:
+        return SchedulingConfig(
+            round_length=data["round_length"],
+            slots_per_round=data["slots_per_round"],
+            max_round_gap=data.get("max_round_gap"),
+            mm=data.get("mm", 1e-4),
+            big_m=data.get("big_m"),
+            backend=data.get("backend", "highs"),
+            time_limit=data.get("time_limit"),
+            minimize_latency=data.get("minimize_latency", True),
+        )
+    except ValueError as exc:
+        raise SerializationError(f"config.{exc}") from None
 
 
 def schedule_to_dict(schedule: ModeSchedule) -> dict:

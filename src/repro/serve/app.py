@@ -38,7 +38,7 @@ from ..engine.cache import ScheduleCache
 from ..engine.trials import TrialPool
 from ..obs.events import RunLog, emit, set_run_log
 from ..obs.metrics import REGISTRY
-from ..runtime.trial import ENGINES, build_context, execute_trial_batch
+from ..runtime.trial import build_context, check_engine, execute_trial_batch
 from .http import ServiceHTTPServer
 from .jobs import JobTable
 from .queue import JobQueue
@@ -59,7 +59,7 @@ class ServiceConfig:
         cache_dir: Schedule-cache directory; ``None`` disables the
             cross-request schedule cache.
         cache_entries / cache_bytes: LRU bounds for the schedule cache.
-        max_queued / max_inflight / max_trials: Admission knobs (see
+        max_queued / max_trials: Admission knobs (see
             :class:`~repro.serve.queue.JobQueue`).
         trial_batch: Trials per execution batch — the progress-event
             and cancellation granularity.
@@ -80,7 +80,6 @@ class ServiceConfig:
     cache_entries: Optional[int] = None
     cache_bytes: Optional[int] = None
     max_queued: int = 64
-    max_inflight: Optional[int] = None
     max_trials: int = 100_000
     trial_batch: int = 16
     engine: str = "fast"
@@ -90,11 +89,7 @@ class ServiceConfig:
     log_stream: Optional[IO[str]] = field(default=None, repr=False)
 
     def validate(self) -> None:
-        if self.engine not in ENGINES:
-            raise ValueError(
-                f"engine must be one of {', '.join(ENGINES)}, "
-                f"got {self.engine!r}"
-            )
+        check_engine(self.engine)
         for name in ("workers", "jobs", "max_queued", "max_trials",
                      "trial_batch", "history"):
             value = getattr(self, name)
@@ -136,7 +131,6 @@ class ServiceApp:
             cache=self.cache,
             workers=self.config.workers,
             max_queued=self.config.max_queued,
-            max_inflight=self.config.max_inflight,
             max_trials=self.config.max_trials,
             trial_batch=self.config.trial_batch,
             engine=self.config.engine,

@@ -251,9 +251,3 @@ class ServiceHandler(BaseHTTPRequestHandler):
         self.wfile.write(data + b"\r\n")
         self.wfile.flush()
 
-
-def serve_forever(
-    app, host: str = "127.0.0.1", port: int = 0
-) -> ServiceHTTPServer:
-    """Bind and return the server (caller drives ``serve_forever``)."""
-    return ServiceHTTPServer((host, port), app)

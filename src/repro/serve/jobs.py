@@ -3,11 +3,12 @@
 The design follows the dask/distributed scheduler-state notes
 (SNIPPETS.md Snippet 3): every job is a **plain Python dict** tracked
 in one table, and the table keeps *redundant* reverse indices — by
-state, by content key, by client — so the hot service questions
-("how many jobs are queued?", "is an identical job already in
-flight?", "what is client X running?") are O(1) dictionary lookups,
-not scans.  Index maintenance is cheap and happens in exactly one
-place, :meth:`JobTable.transition`.
+state and by client — so the hot service questions ("how many jobs
+are queued?", "what is client X running?") are O(1) dictionary
+lookups, not scans.  (Whether an identical job is already in flight
+is the daemon's :class:`~repro.serve.dedup.DedupIndex`'s question.)
+Index maintenance is cheap and happens in exactly one place,
+:meth:`JobTable.transition`.
 
 The state machine::
 
@@ -90,7 +91,6 @@ class JobTable:
         self.jobs: Dict[str, dict] = {}
         # Redundant indices, maintained exclusively by create/transition.
         self.by_state: Dict[str, Set[str]] = {state: set() for state in STATES}
-        self.by_key: Dict[str, Set[str]] = {}
         self.by_client: Dict[str, Set[str]] = {}
         self._terminal_order: List[str] = []
         self.lock = threading.RLock()
@@ -127,7 +127,6 @@ class JobTable:
             }
             self.jobs[job_id] = job
             self.by_state["queued"].add(job_id)
-            self.by_key.setdefault(key, set()).add(job_id)
             self.by_client.setdefault(client, set()).add(job_id)
             self._append_event(job, {"state": "queued"})
             return job
@@ -185,15 +184,6 @@ class JobTable:
     def get(self, job_id: str) -> Optional[dict]:
         with self.lock:
             return self.jobs.get(job_id)
-
-    def in_flight(self, key: str) -> List[dict]:
-        """Non-terminal jobs under a content key (dedup attachment)."""
-        with self.lock:
-            return [
-                self.jobs[job_id]
-                for job_id in self.by_key.get(key, ())
-                if self.jobs[job_id]["state"] not in TERMINAL
-            ]
 
     def counts(self) -> Dict[str, int]:
         """``state -> number of jobs`` (every state present)."""
@@ -270,7 +260,6 @@ class JobTable:
             if job is None:
                 continue
             self.by_state[job["state"]].discard(job_id)
-            self.by_key.get(job["key"], set()).discard(job_id)
             self.by_client.get(job["client"], set()).discard(job_id)
 
 

@@ -26,8 +26,6 @@ paths the batch tools use:
 Admission control rejects work *before* it costs anything:
 
 * ``max_queued``  — executions waiting to start (HTTP 429);
-* ``max_inflight`` — executions running at once (workers wait, clients
-  are only rejected via ``max_queued``);
 * ``max_trials`` — per-request trial budget (HTTP 429);
 * draining       — a stopping service admits nothing (HTTP 503).
 """
@@ -52,7 +50,7 @@ from ..mc.campaign import _point_loss, _resolve_seeds, scenario_context
 from ..mc.stats import CampaignStats
 from ..obs.events import emit
 from ..obs.metrics import timed_span
-from ..runtime.trial import ENGINES, TrialBatch
+from ..runtime.trial import TrialBatch, check_engine
 from .dedup import DedupIndex, Execution, job_key
 from .jobs import TERMINAL, JobTable
 
@@ -74,10 +72,9 @@ class JobQueue:
         store: Shared result store (completed-work dedup + durability).
         pool: Shared long-lived trial pool.
         cache: Shared schedule cache (may be ``None``).
-        workers: Worker threads draining the queue.
+        workers: Worker threads draining the queue — each runs one
+            execution at a time.
         max_queued: Executions allowed to wait (admission bound).
-        max_inflight: Executions allowed to run at once (defaults to
-            ``workers``).
         max_trials: Per-request trial budget (admission bound).
         trial_batch: Trials per execution batch — the cancellation and
             progress granularity.
@@ -92,7 +89,6 @@ class JobQueue:
         cache: Optional[ScheduleCache] = None,
         workers: int = 2,
         max_queued: int = 64,
-        max_inflight: Optional[int] = None,
         max_trials: int = 100_000,
         trial_batch: int = 16,
         engine: str = "fast",
@@ -105,17 +101,13 @@ class JobQueue:
             raise ValueError(f"max_trials must be >= 1, got {max_trials!r}")
         if trial_batch < 1:
             raise ValueError(f"trial_batch must be >= 1, got {trial_batch!r}")
-        if engine not in ENGINES:
-            raise ValueError(
-                f"engine must be one of {', '.join(ENGINES)}, got {engine!r}"
-            )
+        check_engine(engine)
         self.table = table
         self.store = store
         self.pool = pool
         self.cache = cache
         self.workers = workers
         self.max_queued = max_queued
-        self.max_inflight = max_inflight if max_inflight is not None else workers
         self.max_trials = max_trials
         self.trial_batch = trial_batch
         self.engine = engine
@@ -124,7 +116,7 @@ class JobQueue:
         self.engine_stats = EngineStats()
         self._queue: "deque[Execution]" = deque()
         self._condition = threading.Condition()
-        self._inflight = 0
+        self._running = 0
         self._stopping = False
         self._threads: List[threading.Thread] = []
         # Admission/throughput counters (all under _condition's lock).
@@ -182,10 +174,7 @@ class JobQueue:
             ValueError: bad trials/seeds/engine (an HTTP 400).
         """
         engine = engine if engine is not None else self.engine
-        if engine not in ENGINES:
-            raise ValueError(
-                f"engine must be one of {', '.join(ENGINES)}, got {engine!r}"
-            )
+        check_engine(engine)
         scenario.validate()
         if scenario.simulation is not None:
             seed_list: List[Optional[int]] = _resolve_seeds(
@@ -323,9 +312,8 @@ class JobQueue:
                 "rejected": dict(self.rejected),
                 "cancelled": self.cancelled,
                 "queued": len(self._queue),
-                "running": self._inflight,
+                "running": self._running,
                 "max_queued": self.max_queued,
-                "max_inflight": self.max_inflight,
                 "max_trials": self.max_trials,
                 "campaigns_executed": self.campaigns_executed,
                 "trials_executed": self.trials_executed,
@@ -353,14 +341,12 @@ class JobQueue:
     def _worker(self) -> None:
         while True:
             with self._condition:
-                while True:
-                    if self._queue and self._inflight < self.max_inflight:
-                        execution = self._queue.popleft()
-                        self._inflight += 1
-                        break
-                    if self._stopping and not self._queue:
+                while not self._queue:
+                    if self._stopping:
                         return
                     self._condition.wait(0.2)
+                execution = self._queue.popleft()
+                self._running += 1
             try:
                 if execution.cancel.is_set():
                     self.dedup.release(execution)
@@ -371,7 +357,7 @@ class JobQueue:
             finally:
                 self.dedup.release(execution)
                 with self._condition:
-                    self._inflight -= 1
+                    self._running -= 1
                     self._condition.notify_all()
 
     def _transition_all(self, execution: Execution, state: str, **detail) -> None:

@@ -52,9 +52,9 @@ class TTWSystem:
             :func:`repro.milp.available_backends`).
 
     Raises:
-        ValueError: on invalid ``jobs``, a non-positive
-            ``config.time_limit``, or an unknown backend — caught here,
-            at the API boundary, instead of deep inside an executor.
+        ValueError: on invalid ``jobs`` or an unknown backend — caught
+            here, at the API boundary, instead of deep inside an
+            executor.  ``SchedulingConfig`` checks its own fields.
     """
 
     def __init__(
@@ -71,11 +71,6 @@ class TTWSystem:
         if not isinstance(jobs, int) or isinstance(jobs, bool) or jobs < 1:
             raise ValueError(
                 f"jobs must be an integer >= 1 (worker processes), got {jobs!r}"
-            )
-        if config.time_limit is not None and config.time_limit <= 0:
-            raise ValueError(
-                f"time_limit must be > 0 seconds (or None for no limit), "
-                f"got {config.time_limit!r}"
             )
         if backend is not None:
             # Fail fast on an explicit override.  A backend name arriving

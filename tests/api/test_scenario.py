@@ -180,6 +180,12 @@ class TestValidation:
         for key in path[:-1]:
             node = node[key]
         node[path[-1]] = []
+        if path == ("config", "time_limit"):
+            # SchedulingConfig checks its own fields, on construction.
+            with pytest.raises(SerializationError,
+                               match="config.time_limit must be"):
+                Scenario.from_dict(data)
+            return
         scenario = Scenario.from_dict(data)
         with pytest.raises(ScenarioError, match="must be"):
             scenario.validate()
@@ -370,12 +376,10 @@ class TestSystemBridge:
 
 class TestTimeLimitBoundary:
     def test_negative_time_limit_rejected(self):
-        scenario = two_mode_scenario(
-            config=SchedulingConfig(round_length=1.0, max_round_gap=None,
-                                    time_limit=-5.0),
-        )
-        with pytest.raises(ScenarioError, match="time_limit must be > 0"):
-            scenario.validate()
+        # SchedulingConfig checks its own fields, on construction.
+        with pytest.raises(ValueError, match="time_limit must be > 0"):
+            SchedulingConfig(round_length=1.0, max_round_gap=None,
+                             time_limit=-5.0)
 
     def test_positive_time_limit_accepted(self):
         two_mode_scenario(

@@ -12,7 +12,7 @@ import os
 
 import pytest
 
-from repro.dse import explore, explore_sharded, merge_stores, open_store
+from repro.dse import explore, merge_stores, open_store
 from repro.dse.distributed import (
     KILL_SHARD_ENV,
     claim_block,
@@ -84,10 +84,28 @@ class TestClaimTable:
         assert block_id == 1
 
 
+def _evaluate_into_segment(space, assignments, store, shard):
+    """What a shard leaves behind: ``assignments`` evaluated into its
+    part segment of ``store``, through the shards' batch evaluator."""
+    from repro.dse.explore import BatchEvaluator, _prepare
+    from repro.dse.store import part_path
+
+    part = open_store(part_path(store, shard))
+    try:
+        with BatchEvaluator(part, None, None, 1, None, True, "fast", 8,
+                            shard=shard) as evaluator:
+            evaluator.evaluate([
+                _prepare(space, assignment, (), None, None, part)
+                for assignment in assignments
+            ])
+    finally:
+        part.close()
+
+
 class TestExploreSharded:
     def test_matches_single_process_exploration(self, dse_space, tmp_path):
         single = explore(dse_space, sampler="grid", objectives=OBJECTIVES)
-        sharded = explore_sharded(
+        sharded = explore(
             dse_space, shards=2, sampler="grid", objectives=OBJECTIVES,
             store=tmp_path / "ex.jsonl", batch_size=2,
         )
@@ -102,7 +120,7 @@ class TestExploreSharded:
             assert candidate.values == values[candidate.key]
 
     def test_records_carry_shard_provenance(self, dse_space, tmp_path):
-        result = explore_sharded(
+        result = explore(
             dse_space, shards=2, sampler="grid", objectives=OBJECTIVES,
             store=tmp_path / "ex.jsonl", batch_size=2,
         )
@@ -113,11 +131,11 @@ class TestExploreSharded:
 
     def test_rerun_reuses_everything(self, dse_space, tmp_path):
         store = tmp_path / "ex.sqlite"
-        first = explore_sharded(
+        first = explore(
             dse_space, shards=2, sampler="grid", objectives=OBJECTIVES,
             store=store, batch_size=2,
         )
-        again = explore_sharded(
+        again = explore(
             dse_space, shards=2, sampler="grid", objectives=OBJECTIVES,
             store=store, batch_size=2,
         )
@@ -125,7 +143,7 @@ class TestExploreSharded:
         assert _front_keys(again) == _front_keys(first)
 
     def test_no_segment_or_claim_leftovers(self, dse_space, tmp_path):
-        explore_sharded(
+        explore(
             dse_space, shards=2, sampler="grid", objectives=OBJECTIVES,
             store=tmp_path / "ex.jsonl", batch_size=2,
         )
@@ -136,7 +154,7 @@ class TestExploreSharded:
 
     def test_surrogate_sampler_over_shards(self, dse_space, tmp_path):
         grid = explore(dse_space, sampler="grid", objectives=OBJECTIVES)
-        result = explore_sharded(
+        result = explore(
             dse_space, shards=2, sampler="surrogate",
             objectives=OBJECTIVES, store=tmp_path / "ex.jsonl",
             batch_size=2,
@@ -146,11 +164,11 @@ class TestExploreSharded:
 
     def test_memory_store_is_rejected(self, dse_space):
         with pytest.raises(ValueError, match="persistent store"):
-            explore_sharded(dse_space, shards=2, objectives=OBJECTIVES)
+            explore(dse_space, shards=2, objectives=OBJECTIVES)
 
     def test_shards_validation(self, dse_space, tmp_path):
         with pytest.raises(ValueError, match="shards"):
-            explore_sharded(
+            explore(
                 dse_space, shards=0, objectives=OBJECTIVES,
                 store=tmp_path / "ex.jsonl",
             )
@@ -164,7 +182,7 @@ class TestKilledShard:
     ):
         store = tmp_path / "ex.jsonl"
         monkeypatch.setenv(KILL_SHARD_ENV, "0")
-        killed = explore_sharded(
+        killed = explore(
             dse_space, shards=2, sampler="grid", objectives=OBJECTIVES,
             store=store, batch_size=1,
         )
@@ -182,7 +200,7 @@ class TestKilledShard:
         # ... and the re-run resumes to the identical front executing
         # zero campaigns, sharded or not.
         for rerun in (
-            explore_sharded(
+            explore(
                 dse_space, shards=2, sampler="grid",
                 objectives=OBJECTIVES, store=store, batch_size=1,
             ),
@@ -198,8 +216,6 @@ class TestKilledShard:
     def test_orphaned_segments_recover_via_merge(self, dse_space, tmp_path):
         """A killed *parent* leaves part segments; merge + rerun
         resumes from them without re-executing their campaigns."""
-        from repro.dse.store import part_path
-
         store = tmp_path / "ex.jsonl"
         # Simulate the crashed run: two shards evaluated half the grid
         # each into their segments, the parent died before merging.
@@ -207,20 +223,14 @@ class TestKilledShard:
         for shard, chunk in enumerate(
             (assignments[:3], assignments[3:])
         ):
-            from repro.dse.distributed import _BlockSampler
-
-            explore(
-                dse_space, sampler=_BlockSampler(chunk),
-                objectives=OBJECTIVES, store=part_path(store, shard),
-                shard=shard,
-            )
+            _evaluate_into_segment(dse_space, chunk, store, shard)
         assert not store.exists()
         report = merge_stores(store)
         assert report.merged == 6
         assert [os.path.basename(p) for p in report.parts] == [
             "ex.part-0.jsonl", "ex.part-1.jsonl"
         ]
-        rerun = explore_sharded(
+        rerun = explore(
             dse_space, shards=2, sampler="grid", objectives=OBJECTIVES,
             store=store, batch_size=2,
         )
@@ -229,17 +239,13 @@ class TestKilledShard:
     def test_leftover_segments_merge_automatically_on_next_run(
         self, dse_space, tmp_path
     ):
-        """explore_sharded itself recovers orphaned segments."""
-        from repro.dse.distributed import _BlockSampler
+        """A sharded exploration itself recovers orphaned segments."""
         from repro.dse.store import part_path
 
         store = tmp_path / "ex.jsonl"
         assignments = list(dse_space.assignments())
-        explore(
-            dse_space, sampler=_BlockSampler(assignments[:4]),
-            objectives=OBJECTIVES, store=part_path(store, 1), shard=1,
-        )
-        result = explore_sharded(
+        _evaluate_into_segment(dse_space, assignments[:4], store, 1)
+        result = explore(
             dse_space, shards=2, sampler="grid", objectives=OBJECTIVES,
             store=store, batch_size=2,
         )
@@ -268,7 +274,7 @@ class TestShardedRunLog:
     ):
         from repro.obs import read_log
 
-        explore_sharded(
+        explore(
             dse_space, shards=2, sampler="grid", objectives=OBJECTIVES,
             store=tmp_path / "store" / "ex.jsonl", batch_size=2,
         )
@@ -291,7 +297,7 @@ class TestShardedRunLog:
         from repro.obs import read_log
 
         monkeypatch.setenv(KILL_SHARD_ENV, "0")
-        result = explore_sharded(
+        result = explore(
             dse_space, shards=2, sampler="grid", objectives=OBJECTIVES,
             store=tmp_path / "store" / "ex.jsonl", batch_size=1,
         )
@@ -312,16 +318,17 @@ class TestShardedRunLog:
         from repro.analysis.logs import exploration_story
         from repro.obs import read_log
 
-        monkeypatch.setenv(KILL_SHARD_ENV, "0")
-        result = explore_sharded(
-            dse_space, shards=1, sampler="grid", objectives=OBJECTIVES,
+        # Both shards SIGKILL themselves after their first block.
+        monkeypatch.setenv(KILL_SHARD_ENV, "0,1")
+        result = explore(
+            dse_space, shards=2, sampler="grid", objectives=OBJECTIVES,
             store=tmp_path / "store" / "ex.jsonl", batch_size=1,
         )
         assert len(result.candidates) == 6
         story = exploration_story(read_log(run_log.path))
         assert len(story["respawns"]) == 1
         respawned = story["respawns"][0]["shard"]
-        assert respawned == 1
+        assert respawned == 2
         # The replacement inherits only steal-able work: every block it
         # claimed was hinted at the dead shard.
         stolen_by_respawn = [
@@ -334,7 +341,7 @@ class TestShardedRunLog:
         self, dse_space, tmp_path, run_log
     ):
         store_dir = tmp_path / "store"
-        explore_sharded(
+        explore(
             dse_space, shards=2, sampler="grid", objectives=OBJECTIVES,
             store=store_dir / "ex.jsonl", batch_size=2,
         )
@@ -345,7 +352,7 @@ class TestShardedStoreBackends:
     @pytest.mark.parametrize("suffix", [".jsonl", ".sqlite"])
     def test_both_backends_round_trip(self, dse_space, tmp_path, suffix):
         store = tmp_path / f"ex{suffix}"
-        first = explore_sharded(
+        first = explore(
             dse_space, shards=2, sampler="grid", objectives=OBJECTIVES,
             store=store, batch_size=2,
         )

@@ -23,7 +23,6 @@ from repro.dse import (
     Space,
     SuccessiveHalvingSampler,
     explore,
-    explore_scenario,
 )
 from repro.engine.cache import ScheduleCache
 
@@ -80,14 +79,30 @@ class TestExploreBasics:
         assert len(payload["candidates"]) == 6
         assert payload["front"]
 
-    def test_explore_scenario_convenience(self, dse_base):
-        result = explore_scenario(
-            dse_base,
-            axes=[("B", "slots", [1, 2])],
-            derive="glossy_timing",
-            objectives=("energy_saving", "latency"),
-        )
-        assert len(result.candidates) == 2
+    def test_one_trial_pool_across_batches(self, dse_space, monkeypatch):
+        """A single-process exploration holds one trial pool for its
+        whole run, however many batches its fresh candidates span."""
+        from repro.engine.trials import TrialPool
+
+        pools, batches = [], []
+        real_init = TrialPool.__init__
+        real_campaigns = explore_module.run_campaigns
+
+        def counting_init(self, *args, **kwargs):
+            pools.append(self)
+            real_init(self, *args, **kwargs)
+
+        def counting_campaigns(scenarios, **kwargs):
+            batches.append(len(scenarios))
+            return real_campaigns(scenarios, **kwargs)
+
+        monkeypatch.setattr(TrialPool, "__init__", counting_init)
+        monkeypatch.setattr(explore_module, "run_campaigns",
+                            counting_campaigns)
+        result = explore(dse_space, objectives=("latency",), batch_size=2)
+        assert result.executed == dse_space.size
+        assert batches == [2, 2, 2]
+        assert len(pools) == 1
 
 
 class TestAcceptance:
@@ -214,6 +229,17 @@ class TestExperimentIntegration:
         # Same synthesis problems, same shared cache: all hits.
         assert second.stats.cache_hits >= dse_space.size
         assert second.stats.solver_runs == 0
+
+    def test_sharded_experiment_shares_its_cache(self, dse_space, tmp_path):
+        experiment = Experiment(cache_dir=tmp_path / "cache")
+        objectives = ("energy_saving", "latency")
+        sharded = experiment.explore(dse_space, objectives=objectives,
+                                     store=tmp_path / "ex.jsonl", shards=2)
+        assert sharded.shards == 2
+        assert sharded.executed == dse_space.size
+        # The shards solved into the experiment's cache directory.
+        local = experiment.explore(dse_space, objectives=objectives)
+        assert local.stats.solver_runs == 0
 
     def test_explicit_cache_object(self, dse_space, tmp_path):
         cache = ScheduleCache(tmp_path / "cache")

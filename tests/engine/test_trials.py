@@ -325,11 +325,15 @@ _INTERRUPT_SCRIPT = textwrap.dedent('''
             print("ready", flush=True)
             parallel.synthesize_batch(problems, jobs=2)
         else:
-            import repro.runtime.trial as trial
-            from repro.api import Scenario, SimulationSpec
-            from repro.dse import Axis, Space, explore_sharded
+            import importlib
 
-            trial.execute_trial_task = slow_task  # forked shards inherit
+            from repro.api import Scenario, SimulationSpec
+            from repro.dse import Axis, Space, explore
+
+            # The shards' batch evaluator builds its trial pool on this
+            # task; forked shards inherit the stand-in.
+            dse_explore = importlib.import_module("repro.dse.explore")
+            dse_explore.execute_trial_task = slow_task
             base = Scenario(
                 name="slow",
                 modes=[Mode("m", [closed_loop_pipeline(
@@ -340,8 +344,8 @@ _INTERRUPT_SCRIPT = textwrap.dedent('''
             )
             space = Space(base=base, axes=[Axis("B", "slots", [1, 5])])
             print("ready", flush=True)
-            explore_sharded(space, shards=2, jobs=2, objectives=["latency"],
-                            store=sys.argv[2])
+            explore(space, shards=2, jobs=2, objectives=["latency"],
+                    store=sys.argv[2])
 
 
     if __name__ == "__main__":

@@ -86,18 +86,11 @@ class TestIndices:
         assert job["id"] not in table.by_state["queued"]
         assert job["id"] in table.by_state["synthesizing"]
 
-    def test_by_key_and_client(self, table):
+    def test_by_client(self, table):
         a = make_job(table, key="k1", client="alice")
-        b = make_job(table, key="k1", client="bob")
+        make_job(table, key="k1", client="bob")
         c = make_job(table, key="k2", client="alice")
-        assert table.by_key["k1"] == {a["id"], b["id"]}
         assert table.by_client["alice"] == {a["id"], c["id"]}
-
-    def test_in_flight_excludes_terminal(self, table):
-        a = make_job(table, key="k1")
-        b = make_job(table, key="k1")
-        table.transition(a["id"], "done")
-        assert [j["id"] for j in table.in_flight("k1")] == [b["id"]]
 
     def test_counts_cover_every_state(self, table):
         make_job(table)
@@ -193,7 +186,6 @@ class TestPruning:
         table.transition(a["id"], "done")
         table.transition(b["id"], "done")
         assert a["id"] not in table.by_state["done"]
-        assert a["id"] not in table.by_key.get("ka", set())
         assert a["id"] not in table.by_client.get("ca", set())
 
 

@@ -334,11 +334,11 @@ class TestStoreRecords:
         """The daemon builds its records with the exploration's code:
         the same fields plus the engine that ran, and a store hit
         answers with exactly the record the executing job returned."""
-        from repro.dse import explore_scenario
+        from repro.dse import Axis, Space, explore
 
         explored = open_store(None)
-        explore_scenario(scenario, [("slots", "slots", [5])], trials=2,
-                         store=explored)
+        explore(Space(base=scenario, axes=[Axis("slots", "slots", [5])]),
+                trials=2, store=explored)
         (key,) = explored.keys()
         exploration_record = explored.get(key)
 

@@ -1,6 +1,7 @@
 """Tests of the command-line interface."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -545,8 +546,8 @@ class TestScenarioExplore:
                      "--resume"]) == 2
         assert "does not exist" in capsys.readouterr().err
 
-    def test_explore_scenario_file_plus_axis_flags(self, scenario_file,
-                                                   capsys):
+    def test_explore_a_scenario_file_plus_axis_flags(self, scenario_file,
+                                                     capsys):
         assert main(["scenario", "explore", str(scenario_file),
                      "--axis", "slots=2,5", "--backend", "greedy",
                      "--trials", "1",
@@ -708,6 +709,61 @@ class TestInterrupt:
         )
         assert cli.main(["figures", "6"]) == 130
         assert "interrupted" in capsys.readouterr().err
+
+
+QUICKSTART = (Path(__file__).resolve().parents[1]
+              / "examples" / "quickstart.scenario.json")
+
+#: Per SchedulingConfig field, values it must reject: each used to crash
+#: the CLI, be accepted by ``POST /jobs``, or be solved as if valid.
+BAD_CONFIG_VALUES = [
+    ("round_length", 0), ("round_length", "x"), ("round_length", True),
+    ("slots_per_round", 0), ("slots_per_round", 1.5),
+    ("slots_per_round", "x"),
+    ("max_round_gap", 0.5), ("max_round_gap", "x"),
+    ("mm", 0), ("mm", "x"),
+    ("big_m", -1), ("big_m", "x"),
+    ("time_limit", 0), ("time_limit", "x"),
+    ("minimize_latency", "no"), ("minimize_latency", 1),
+]
+
+
+class TestSchedulingConfigBoundary:
+    @pytest.fixture(scope="class")
+    def daemon(self):
+        from repro.serve import ServiceApp, ServiceConfig
+
+        with ServiceApp(ServiceConfig(port=0)) as app:
+            yield app
+
+    @pytest.mark.parametrize(
+        "field, value", BAD_CONFIG_VALUES,
+        ids=[f"{field}={value!r}" for field, value in BAD_CONFIG_VALUES],
+    )
+    def test_bad_field_is_named_by_cli_and_http(
+        self, field, value, daemon, tmp_path, capsys
+    ):
+        from repro.serve.client import ServiceClient, ServiceError
+
+        scenario = json.loads(QUICKSTART.read_text())
+        scenario["config"][field] = value
+        path = tmp_path / "bad.scenario.json"
+        path.write_text(json.dumps(scenario))
+        assert main(["scenario", "run", str(path)]) == 2
+        assert f"config.{field} must be" in capsys.readouterr().err
+
+        with pytest.raises(ServiceError) as err:
+            ServiceClient(daemon.url, timeout=30)._request(
+                "POST", "/jobs", {"scenario": scenario}
+            )
+        assert err.value.status == 400
+        assert f"config.{field} must be" in err.value.reason
+
+    def test_bad_config_axis_value_is_named(self, capsys):
+        assert main(["scenario", "explore", str(QUICKSTART),
+                     "--axis", "config.slots_per_round=x",
+                     "--trials", "1"]) == 2
+        assert "config.slots_per_round" in capsys.readouterr().err
 
 
 class TestServeCli:

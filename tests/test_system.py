@@ -115,14 +115,13 @@ class TestBoundaryValidation:
             TTWSystem(jobs=2.5)
 
     def test_negative_time_limit_rejected(self):
-        config = SchedulingConfig(round_length=1.0, time_limit=-1.0)
+        # SchedulingConfig checks its own fields, on construction.
         with pytest.raises(ValueError, match="time_limit must be > 0"):
-            TTWSystem(config)
+            SchedulingConfig(round_length=1.0, time_limit=-1.0)
 
     def test_zero_time_limit_rejected(self):
-        config = SchedulingConfig(round_length=1.0, time_limit=0.0)
         with pytest.raises(ValueError, match="time_limit must be > 0"):
-            TTWSystem(config)
+            SchedulingConfig(round_length=1.0, time_limit=0.0)
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(ValueError, match="unknown backend"):
